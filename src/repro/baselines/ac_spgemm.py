@@ -97,7 +97,7 @@ class AcSpgemm(SpGEMMAlgorithm):
         time_s = device.call_overhead_s + device.malloc_s + sum(stage.values())
         return SpGEMMResult(
             method=self.name,
-            c=ctx.c,
+            c=lambda: ctx.c,
             time_s=time_s,
             peak_mem_bytes=ledger.peak,
             stage_times=stage,

@@ -60,7 +60,7 @@ class MklCpu(SpGEMMAlgorithm):
         workspace = cpu.threads * ctx.b.cols * 9  # value + flag per column
         return SpGEMMResult(
             method=self.name,
-            c=ctx.c,
+            c=lambda: ctx.c,
             time_s=time_s,
             peak_mem_bytes=int(workspace + ctx.output_bytes),
             stage_times={"gustavson": time_s},

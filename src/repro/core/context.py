@@ -2,10 +2,13 @@
 
 A single SpGEMM evaluation runs many algorithms (spECK, six baselines, the
 CPU reference) over the same ``(A, B)`` pair.  All of them need the same
-exact structural facts — per-row intermediate-product counts, exact output
-row sizes, and (for assembling the result) the exact product matrix.  The
-context computes each of these once, lazily, and caches it; algorithm cost
-models then read from it instead of recomputing.
+exact structural facts — per-row intermediate-product counts and exact
+output row sizes — and some callers also read the exact product matrix.
+The context computes each of these once, lazily, and caches it; algorithm
+cost models then read from it instead of recomputing.  Row sizes come from
+a symbolic-only pass (:func:`~repro.kernels.reference.symbolic_row_nnz`),
+so costing a multiply never builds C's values; the model-mode results
+hand ``c`` over unevaluated and C is built only when someone reads it.
 
 This mirrors the real-world setup: on the device every algorithm computes
 these quantities itself (and *pays* for doing so in its cost model); the
@@ -18,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..kernels.reference import esc_multiply
+from ..kernels.reference import esc_multiply, symbolic_row_nnz
 from ..matrices.csr import CSR
 from .analysis import RowAnalysis, analyze
 
@@ -98,9 +101,12 @@ class MultiplyContext:
     def c_row_nnz(self) -> np.ndarray:
         """Exact non-zeros per row of C (what a symbolic pass computes)."""
         if self._c_row_nnz is None:
-            # The model path materialises C anyway; deriving the row sizes
-            # from it avoids a second full product expansion.
-            self._c_row_nnz = self.c.row_nnz()
+            # A product already built gives the row sizes for free;
+            # otherwise the symbolic pass sizes rows without values.
+            if self._c is not None:
+                self._c_row_nnz = self._c.row_nnz()
+            else:
+                self._c_row_nnz = symbolic_row_nnz(self.a, self.b)
         return self._c_row_nnz
 
     @property

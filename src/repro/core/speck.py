@@ -594,13 +594,13 @@ class SpeckEngine:
             mean_utilization=num.mean_utilization,
         )
 
-        if mode == "execute":
-            c = self._execute(a, ctx.b, ctx)
-        else:
-            c = ctx.c
         return SpGEMMResult(
             method=self.name,
-            c=c,
+            c=(
+                self._execute(a, ctx.b, ctx)
+                if mode == "execute"
+                else lambda: ctx.c  # built on the first read of result.c
+            ),
             time_s=total,
             peak_mem_bytes=ledger.peak,
             stage_times=stage_times,

@@ -3,12 +3,34 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from typing import Callable, Dict, Optional, Union
 
 from .faults import FailureInfo, SpGEMMError
 from .matrices.csr import CSR
 
 __all__ = ["SpGEMMResult"]
+
+
+class _Product:
+    """The ``SpGEMMResult.c`` field: a CSR, ``None``, or a deferred product.
+
+    A zero-argument callable stands for a product not built yet — the
+    model-mode methods pass ``lambda: ctx.c`` because costing a multiply
+    never needs C's values.  The first read calls it and caches the CSR,
+    so every later read returns that same object.
+    """
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            # Class access: tells ``dataclass`` the field has no default.
+            raise AttributeError("c")
+        c = obj._c
+        if callable(c):
+            c = obj._c = c()
+        return c
+
+    def __set__(self, obj, value) -> None:
+        obj._c = value
 
 
 @dataclass
@@ -20,8 +42,10 @@ class SpGEMMResult:
     method:
         Algorithm name (``"spECK"``, ``"nsparse"``, ...).
     c:
-        The output matrix, or ``None`` when the run failed or the harness
-        requested cost-only mode.
+        The output matrix, or ``None`` when the run failed.  The
+        constructor also takes a zero-argument callable returning the
+        matrix: model-mode runs pass the context's product unevaluated,
+        and the first read of ``c`` builds it once and caches it.
     time_s:
         Simulated wall time of the multiplication.
     peak_mem_bytes:
@@ -49,7 +73,7 @@ class SpGEMMResult:
     """
 
     method: str
-    c: Optional[CSR]
+    c: Union[CSR, Callable[[], CSR], None] = _Product()
     time_s: float
     peak_mem_bytes: int
     stage_times: Dict[str, float] = field(default_factory=dict)

@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core import MultiplyContext, device_csr_bytes
+from repro.baselines import all_algorithms, registry
+from repro.core import MultiplyContext, SpeckEngine, device_csr_bytes
+from repro.core import context as context_mod
+from repro.eval import run_suite, small_corpus
+from repro.kernels.reference import esc_multiply
 from repro.matrices.csr import csr_zeros
-from repro.matrices.generators import banded, rect_lp
+from repro.matrices.generators import banded, rect_lp, rmat
 from repro.result import SpGEMMResult
 
 from conftest import random_csr
@@ -24,6 +28,23 @@ class TestMultiplyContext:
         ctx = MultiplyContext(a, a)
         assert np.array_equal(ctx.c_row_nnz, ctx.c.row_nnz())
         assert ctx.c_nnz == ctx.c.nnz
+
+    def test_c_row_nnz_sized_without_building_c(self, rng):
+        a = random_csr(rng, 30, 30, 0.15)
+        ctx = MultiplyContext(a, a)
+        assert ctx.c_nnz == esc_multiply(a, a).nnz
+        assert ctx._c is None
+
+    @pytest.mark.parametrize("built_first", [False, True])
+    def test_c_row_nnz_is_read_only(self, rng, built_first):
+        # A plan that captures the array must not be poisoned by an
+        # in-place write, whichever path sized the rows.
+        a = random_csr(rng, 30, 30, 0.15)
+        ctx = MultiplyContext(a, a)
+        if built_first:
+            ctx.c
+        with pytest.raises(ValueError):
+            ctx.c_row_nnz[0] = 99
 
     def test_flops_definition(self, rng):
         a = random_csr(rng, 20, 20, 0.2)
@@ -86,3 +107,56 @@ class TestSpGEMMResult:
         r = SpGEMMResult(method="x", c=None, time_s=1.0, peak_mem_bytes=0)
         assert r.valid and r.sorted_output
         assert r.stage_times == {} and r.decisions == {}
+
+
+class _CountingESC:
+    """Stand-in for ``esc_multiply`` at its binding in ``repro.core.context``."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, a, b):
+        self.calls += 1
+        return esc_multiply(a, b)
+
+
+@pytest.fixture
+def esc_counter(monkeypatch):
+    counter = _CountingESC()
+    monkeypatch.setattr(context_mod, "esc_multiply", counter)
+    return counter
+
+
+class TestDeferredProduct:
+    """Costing a multiply never builds C; reading ``result.c`` does, once,
+    bit-identical to an eager exact product."""
+
+    def test_model_mode_sweep_builds_no_product(self, esc_counter):
+        res = run_suite(small_corpus())
+        assert res.runs and esc_counter.calls == 0
+
+    def test_execute_mode_builds_no_reference_product(self, esc_counter):
+        a = rmat(9, 8, seed=3)
+        res = SpeckEngine().multiply(a, a, mode="execute")
+        assert esc_counter.calls == 0
+        assert res.c.nnz == esc_multiply(a, a).nnz
+
+    # Every registered method: spECK, the paper's seven baselines and cuSP.
+    @pytest.mark.parametrize("method", sorted(registry()))
+    def test_result_c_is_bit_identical_to_eager(self, method, esc_counter):
+        a = rmat(8, 6, seed=5)
+        expected = esc_multiply(a, a)
+        ctx = MultiplyContext(a, a)
+        (algo,) = all_algorithms(names=[method])
+        res = algo.run(ctx)
+        assert res.valid
+        assert esc_counter.calls == 0
+        c = res.c
+        assert esc_counter.calls == 1
+        assert c.shape == expected.shape
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(c, name), getattr(expected, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert res.c is c
+        assert esc_counter.calls == 1

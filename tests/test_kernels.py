@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.kernels import (
     count_flops,
@@ -12,6 +13,7 @@ from repro.kernels import (
     row_products,
     symbolic_row_nnz,
 )
+from repro.matrices import generators
 from repro.matrices.csr import CSR, csr_identity, csr_zeros
 
 from conftest import csr_matrices, random_csr
@@ -129,3 +131,76 @@ class TestStructuralKernels:
         a = random_csr(rng, 3, 4, 0.5)
         with pytest.raises(ValueError):
             row_products(a, a)
+
+
+#: One small instance of every generator family, as ``(size, seed) -> CSR``.
+_FAMILIES = {
+    "banded": lambda n, s: generators.banded(n, 3, 0.7, seed=s),
+    "poisson2d": lambda n, s: generators.poisson2d(max(2, n // 8), seed=s),
+    "poisson3d": lambda n, s: generators.poisson3d(max(2, n // 24), seed=s),
+    "circuit": lambda n, s: generators.circuit(n, seed=s),
+    "rmat": lambda n, s: generators.rmat(max(2, n.bit_length()), 4, seed=s),
+    "random_uniform": lambda n, s: generators.random_uniform(n, n, 3.0, seed=s),
+    "rect_lp": lambda n, s: generators.rect_lp(n, 3 * n, 5, seed=s),
+    "dense_stripe": lambda n, s: generators.dense_stripe(n, 24, 6, seed=s),
+    "skew_single": lambda n, s: generators.skew_single(n, 2, n // 2, seed=s),
+    "diagonal": lambda n, s: generators.diagonal(n, seed=s),
+    "block_dense": lambda n, s: generators.block_dense(n, 8, 3, 0.5, seed=s),
+}
+
+
+def _sparse_corner(rows: int, inner: int, cols: int) -> tuple:
+    """Very sparse ``rows x inner`` and ``inner x cols`` operands whose
+    product has entries in its last row and last column, so the largest
+    composite key ``rows * cols - 1`` occurs."""
+    rng = np.random.default_rng(rows * cols)
+    ar = np.concatenate([rng.integers(0, rows, 40), [rows - 1, rows - 1]])
+    ac = np.concatenate([rng.integers(0, inner, 40), [0, inner - 1]])
+    br = np.concatenate([rng.integers(0, inner, 40), [0, inner - 1, inner - 1]])
+    bc = np.concatenate([rng.integers(0, cols, 40), [cols - 1, cols - 1, 0]])
+    a = CSR.from_coo(ar, ac, np.ones(ar.size), (rows, inner))
+    b = CSR.from_coo(br, bc, np.ones(br.size), (inner, cols))
+    return a, b
+
+
+class TestSymbolicRowNnz:
+    """``symbolic_row_nnz`` against the row sizes of the exact product."""
+
+    def test_covers_every_generator_family(self):
+        assert sorted(_FAMILIES) == sorted(generators.__all__)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(sorted(_FAMILIES)),
+        n=st.integers(min_value=4, max_value=90),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_matches_exact_product_on_generator_families(self, family, n, seed):
+        a = _FAMILIES[family](n, seed)
+        b = a.transpose() if a.rows != a.cols else a
+        out = symbolic_row_nnz(a, b)
+        expected = esc_multiply(a, b).row_nnz()
+        assert out.dtype == expected.dtype
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [
+            (2**16, 2**15 - 1),  # rows * cols just under 2**31: int32 keys
+            (2**16, 2**15),  # exactly 2**31: the int64 fallback
+            (2**16, 2**15 + 1),  # just over: the top keys overflow int32
+        ],
+    )
+    def test_key_width_boundary(self, rows, cols):
+        a, b = _sparse_corner(rows, 64, cols)
+        out = symbolic_row_nnz(a, b)
+        expected = esc_multiply(a, b).row_nnz()
+        assert out[-1] >= 2
+        assert np.array_equal(out, expected)
+
+    def test_result_is_read_only(self, small_pairs):
+        a, b = small_pairs[0]
+        with pytest.raises(ValueError):
+            symbolic_row_nnz(a, b)[0] = 1
+        with pytest.raises(ValueError):
+            symbolic_row_nnz(csr_zeros((3, 3)), csr_zeros((3, 3)))[0] = 1

@@ -169,6 +169,15 @@ class TestPoolRecovery:
         seq = run_suite(small_corpus())
         assert json.dumps(self._dicts(res)) == json.dumps(self._dicts(seq))
 
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_parallel_sweep_matches_sequential_records(self, workers):
+        # clamp=False exercises the pool even on a single-core machine.
+        # Workers cost each case over shared-memory operands and send back
+        # records only: no result, and no unbuilt C, leaves a worker.
+        par = run_suite(small_corpus(), workers=workers, clamp=False)
+        seq = run_suite(small_corpus(), workers=1)
+        assert json.dumps(self._dicts(par)) == json.dumps(self._dicts(seq))
+
     def test_no_shm_residue_after_sweep(self):
         before = set(_shm_residue())
         run_suite(small_corpus(), workers=2, clamp=False)
