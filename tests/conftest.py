@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from repro.matrices.csr import CSR
 
+from bench_configs import AFTER, run_config
+
 
 def random_csr(
     rng: np.random.Generator,
@@ -95,3 +97,20 @@ def small_pairs(rng):
     lp = rect_lp(40, 300, 6, seed=6)
     pairs.append((lp, lp.transpose()))
     return pairs
+
+
+@pytest.fixture(scope="session")
+def bench_report(tmp_path_factory):
+    """``name -> (exit code, --json text)`` of one :mod:`bench_configs`
+    run, run at most once per session and shared by every test."""
+    root = str(tmp_path_factory.mktemp("bench-stores"))
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            for first in AFTER.get(name, ()):
+                get(first)
+            cache[name] = run_config(name, root)
+        return cache[name]
+
+    return get
