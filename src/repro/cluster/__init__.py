@@ -12,15 +12,16 @@ its own :class:`~repro.gpu.device.DeviceSpec`.  The cluster layer adds:
   recomputing (:mod:`repro.cluster.plan_index`);
 - fault-driven failover — whole-node crashes and transient degradation
   through the :mod:`repro.faults` sites, with hash-ring rebalancing and
-  retry of stranded work onto survivors (:mod:`repro.cluster.bench`);
+  retry of stranded work onto survivors (:mod:`repro.cluster.bench`, the
+  fleet's router for :func:`repro.serve.scheduler.run_event_loop`);
 - fleet metrics aggregating every node's registry into one snapshot
   (:mod:`repro.cluster.metrics`);
 - SLO-driven elasticity — an autoscaler resizing the fleet through the
   ring's join/leave machinery, warm-hydrating joiners and proactively
   replicating the hottest plans (:mod:`repro.cluster.autoscaler`);
-- the ``repro cluster-bench`` workload driver, which verifies every
-  completed response bit-identical to a single-node reference while
-  measuring throughput scaling (:func:`run_cluster_bench`).
+- the ``repro cluster-bench`` workload driver, which checks every
+  completed response against ``serve-bench``'s independent references
+  while measuring throughput scaling (:func:`run_cluster_bench`).
 """
 
 from .autoscaler import AutoscalePolicy, Autoscaler, ScaleEvent

@@ -13,11 +13,9 @@ rates and shed counts, and the plan-index replication counters.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import Dict, List, TYPE_CHECKING
 
 from ..serve.metrics import MetricsRegistry
-from .node import ClusterNode
-from .plan_index import PlanIndex
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .router import ClusterRouter
@@ -36,24 +34,6 @@ class FleetMetrics:
         self.registry.counter(
             f"cluster.placed_{how}", f"requests placed via {how}"
         ).inc()
-
-    def completion(self, latency_s: float, service_s: float) -> None:
-        self.registry.counter("cluster.completed", "requests served").inc()
-        self.registry.histogram(
-            "cluster.latency_s", "arrival to completion, fleet-wide"
-        ).observe(latency_s)
-        self.registry.histogram(
-            "cluster.service_s", "modelled on-node service time"
-        ).observe(service_s)
-
-    def shed(self) -> None:
-        self.registry.counter("cluster.shed", "requests shed fleet-wide").inc()
-
-    def timeout(self) -> None:
-        self.registry.counter("cluster.timeouts", "queue deadline misses").inc()
-
-    def failed(self) -> None:
-        self.registry.counter("cluster.failed", "terminal failures").inc()
 
     def retry(self, reason: str) -> None:
         self.registry.counter("cluster.retries", "requests re-placed").inc()
@@ -131,14 +111,12 @@ class FleetMetrics:
         ).inc()
 
     # ------------------------------------------------------------------
-    def aggregate(
-        self,
-        nodes: Sequence[ClusterNode],
-        plan_index: PlanIndex,
-        now: float,
-        router: Optional["ClusterRouter"] = None,
-    ) -> Dict[str, object]:
+    def aggregate(self, router: "ClusterRouter", now: float) -> Dict[str, object]:
         """The fleet snapshot: cluster registry + rolled-up node stats.
+
+        Covers the router's whole node map in name order: autoscaler
+        joiners appear with their counters, and drained nodes stay
+        (state ``"drained"``) so their totals survive the rollup.
 
         Every node-registry counter is summed into
         ``fleet["node_counters"]`` *uniformly* — retry, backoff, brownout
@@ -146,7 +124,9 @@ class FleetMetrics:
         aggregation needing to learn their names.  (Earlier versions
         special-cased a fixed list and silently dropped the rest.)
         """
-        per_node: List[Dict[str, object]] = [n.snapshot(now) for n in nodes]
+        per_node: List[Dict[str, object]] = [
+            router.nodes[name].snapshot(now) for name in sorted(router.nodes)
+        ]
         hits = sum(int(s["plan_cache"]["hits"]) for s in per_node)
         misses = sum(int(s["plan_cache"]["misses"]) for s in per_node)
         node_counters: Dict[str, int] = {}
@@ -165,7 +145,7 @@ class FleetMetrics:
         lat = self.registry.histogram(
             "cluster.latency_s", "arrival to completion, fleet-wide"
         )
-        out: Dict[str, object] = {
+        return {
             "fleet": {
                 "nodes": len(per_node),
                 "alive": sum(1 for s in per_node if s["state"] == "up"),
@@ -181,11 +161,9 @@ class FleetMetrics:
                 "plan_store_totals": dict(sorted(store_totals.items())),
             },
             "cluster": self.registry.snapshot(),
-            "plan_index": plan_index.snapshot(),
+            "plan_index": router.plan_index.snapshot(),
             "nodes": per_node,
+            "breakers": router.breaker_snapshot(),
+            "retry_budget": router.retry_budget.snapshot(),
+            "breaker_rejections": router.breaker_rejections,
         }
-        if router is not None:
-            out["breakers"] = router.breaker_snapshot()
-            out["retry_budget"] = router.retry_budget.snapshot()
-            out["breaker_rejections"] = router.breaker_rejections
-        return out

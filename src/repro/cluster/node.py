@@ -1,52 +1,38 @@
-"""One serving node of the cluster: a `SpGEMMService` plus fleet state.
+"""One serving node of the cluster: a `ServeScheduler` plus fleet state.
 
-A :class:`ClusterNode` wraps the single-host serving stack from
-:mod:`repro.serve` — service (engine + plan cache + metrics) and
-admission controller over one :class:`~repro.gpu.device.DeviceSpec` —
-and adds the state the cluster layer needs: a per-node request queue,
-simulated device streams (busy-until times in virtual seconds), health
-(`up`/`down`, plus a degraded-until horizon), and the per-node
-:class:`~repro.faults.FaultScope` that drives crash/degrade injection.
+A :class:`ClusterNode` *is* the single-host scheduler from
+:mod:`repro.serve.scheduler` — service (engine + plan cache + metrics),
+admission controller, request queue, simulated device streams
+(busy-until times in virtual seconds) and committed bytes over one
+:class:`~repro.gpu.device.DeviceSpec` — plus the state the cluster layer
+needs: a name, health (`up`/`down`/`drained`, plus a degraded-until
+horizon), the per-node :class:`~repro.faults.FaultScope` that drives
+crash/degrade injection, the first-100 warm-join window and an optional
+durable plan store.
 
-Nodes hold state only; the event loop that moves virtual time lives in
-:mod:`repro.cluster.bench`, and placement policy in
-:mod:`repro.cluster.router`.
+Nodes hold state only.  The one event loop that moves virtual time is
+:func:`repro.serve.scheduler.run_event_loop`, which
+:func:`repro.cluster.bench._run_fleet` drives over the fleet; placement
+policy lives in :mod:`repro.cluster.router`.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..core.params import DEFAULT_PARAMS, SpeckParams
 from ..estimate import RowEstimator
 from ..faults import FaultPlan, FaultScope, null_scope
 from ..gpu import DeviceSpec
-from ..result import SpGEMMResult
-from ..serve.admission import AdmissionController, AdmissionPolicy
-from ..serve.scheduler import Request
+from ..serve.admission import AdmissionPolicy
+from ..serve.scheduler import InFlight, Request, ServeScheduler
 from ..serve.service import SpGEMMService
 
 __all__ = ["ClusterNode", "InFlight"]
 
 
-@dataclass
-class InFlight:
-    """A request currently occupying one of a node's device streams."""
-
-    request: Request
-    worker: int
-    start_s: float
-    finish_s: float
-    result: SpGEMMResult
-    cache_hit: bool
-    #: Modelled interconnect seconds spent fetching a peer's plan replica
-    #: before this run (0 when served from the local cache or cold).
-    plan_fetch_s: float = 0.0
-
-
-class ClusterNode:
+class ClusterNode(ServeScheduler):
     """One member of the serving fleet.
 
     Parameters mirror :class:`~repro.serve.service.SpGEMMService` /
@@ -55,7 +41,9 @@ class ClusterNode:
     ``estimate`` gives the node a :class:`~repro.estimate.RowEstimator`
     (sampled footprint bounds for admission and routing);
     ``speculative`` additionally plans cold requests from the estimates
-    (and implies ``estimate``).
+    (and implies ``estimate``).  Fleet nodes dispatch one request at a
+    time in (priority, arrival) order: no same-A batching, and no
+    estimated-cost ordering, which raises the fleet's p99.
     """
 
     def __init__(
@@ -71,28 +59,25 @@ class ClusterNode:
         estimate: bool = False,
         speculative: bool = False,
     ) -> None:
-        if n_workers < 1:
-            raise ValueError("a node needs at least one worker")
-        self.name = name
-        self.device = device
-        self.estimator = (
-            RowEstimator(device) if (estimate or speculative) else None
-        )
-        self.service = SpGEMMService(
+        estimator = RowEstimator(device) if (estimate or speculative) else None
+        service = SpGEMMService(
             device,
             params,
             plan_cache_bytes=plan_cache_bytes,
             context_cache_entries=context_cache_entries,
             speculative=speculative,
-            estimator=self.estimator,
+            estimator=estimator,
         )
-        self.admission = AdmissionController(device, policy)
-        self.workers: List[float] = [0.0] * int(n_workers)
-        self.queue: List[Request] = []
-        self.inflight: List[InFlight] = []
-        #: Conservative committed bytes of queued + in-flight requests.
-        self.committed = 0
-        self.inflight_bytes: Dict[int, int] = {}
+        super().__init__(
+            service,
+            n_workers=n_workers,
+            policy=policy,
+            max_batch=1,
+            estimator=estimator,
+        )
+        self.order_by_cost = False
+        self.name = name
+        self.device = device
         self.state = "up"  # "up" | "down" | "drained"
         self.degraded_until = 0.0
         #: Dispatches attempted on this node (the fault sites' counter).
@@ -112,6 +97,7 @@ class ClusterNode:
     # ------------------------------------------------------------------
     def bind_faults(self, plan: Optional[FaultPlan]) -> None:
         """Attach the run's fault plan; node rules key on this node's name."""
+        self.faults = plan
         self.scope = (
             plan.scope(self.name, "cluster") if plan is not None else null_scope(self.name)
         )
@@ -140,10 +126,6 @@ class ClusterNode:
         return now < self.degraded_until
 
     @property
-    def queue_depth(self) -> int:
-        return len(self.queue)
-
-    @property
     def plan_compat(self) -> str:
         """Plans transfer only between nodes with identical device+params
         (binning and kernel-config decisions are device-derived).  The
@@ -153,37 +135,6 @@ class ClusterNode:
         return self.service.compat
 
     # ------------------------------------------------------------------
-    def idle_workers(self, now: float) -> List[int]:
-        return [w for w, busy in enumerate(self.workers) if busy <= now]
-
-    def next_free_s(self, now: float) -> Optional[float]:
-        """Earliest future worker-free time, ``None`` if all idle."""
-        busy = [t for t in self.workers if t > now]
-        return min(busy) if busy else None
-
-    def est_bytes_for(self, req: Request) -> int:
-        """Admission/routing footprint of one request on this node.
-
-        With an estimator this is the sampled footprint bound (usually
-        far tighter than the blind ``output_factor`` multiple, so
-        estimator-equipped fleets shed and spill less on memory
-        pressure); without one, the controller's blind heuristic."""
-        footprint = (
-            self.estimator.footprint_bound_bytes(req.a, req.b)
-            if self.estimator is not None
-            else None
-        )
-        return self.admission.estimate_bytes(req.input_bytes(), footprint)
-
-    def enqueue(self, req: Request, est_bytes: int) -> None:
-        self.queue.append(req)
-        self.inflight_bytes[req.id] = est_bytes
-        self.committed += est_bytes
-
-    def release(self, request_id: int) -> None:
-        """Return a request's committed bytes (on any terminal state)."""
-        self.committed -= self.inflight_bytes.pop(request_id, 0)
-
     def note_served(self, *, hit: bool, fetched: bool) -> None:
         """Fold one dispatch into the first-100 local-hit window."""
         if self.first_100_served < 100:
@@ -204,17 +155,15 @@ class ClusterNode:
         and the streams cleared.  The caller marks the node down.
         """
         stranded = [inf.request for inf in self.inflight] + list(self.queue)
-        self.inflight.clear()
-        self.queue.clear()
-        for req in stranded:
-            self.release(req.id)
-        self.workers = [0.0] * len(self.workers)
+        self.reset()
         return stranded
 
     # ------------------------------------------------------------------
     def snapshot(self, now: float) -> Dict[str, object]:
         """Per-node slice of the fleet report (JSON-stable ordering)."""
-        stats = self.service.plans.stats()
+        metrics = self.service.snapshot()
+        plan_cache = metrics.pop("plan_cache")
+        del plan_cache["per_key_hits"]
         return {
             "name": self.name,
             "device": self.device.name,
@@ -227,24 +176,10 @@ class ClusterNode:
             "queue_depth": self.queue_depth,
             "sheds": self.admission.sheds,
             "shed_reasons": dict(sorted(self.admission.shed_reasons.items())),
-            "plan_cache": {
-                "hits": stats.hits,
-                "misses": stats.misses,
-                "inserts": stats.inserts,
-                "evictions": stats.evictions,
-                "rejects": stats.rejects,
-                "refines": stats.refines,
-                "entries": stats.entries,
-                "bytes_cached": stats.bytes_cached,
-                "hit_rate": stats.hit_rate,
-            },
+            "plan_cache": plan_cache,
             "brownout_modes": dict(sorted(self.admission.brownout_modes.items())),
-            "plan_store": (
-                self.service.plan_store.stats()
-                if self.service.plan_store is not None
-                else None
-            ),
-            "metrics": self.service.metrics.snapshot(),
+            "plan_store": metrics.pop("plan_store", None),
+            "metrics": metrics,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

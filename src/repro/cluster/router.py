@@ -327,10 +327,6 @@ class ClusterRouter:
         return target, "spill"
 
     # ------------------------------------------------------------------
-    def record_outcome(self, node: ClusterNode, ok: bool, now: float) -> None:
-        """Feed one dispatch outcome into the node's circuit breaker."""
-        self.breakers[node.name].record(ok, now)
-
     def breaker_snapshot(self) -> Dict[str, Dict[str, object]]:
         """Per-node breaker state + lifetime transition counts."""
         return {
@@ -368,27 +364,3 @@ class ClusterRouter:
             self.ring.remove(node.name)
         self.plan_index.drop_node(node.name)
         return node.drain_for_failover()
-
-    # ------------------------------------------------------------------
-    def fetch_plan_for(
-        self, node: ClusterNode, req: Request
-    ) -> Tuple[bool, float]:
-        """Before a dispatch: pull a plan replica if one exists elsewhere.
-
-        Returns ``(fetched, transfer_s)``.  A no-op when replication is
-        off, when the node already holds the plan, or when no compatible
-        live peer has it.
-        """
-        if not self.policy.replicate_plans:
-            return False, 0.0
-        key = (req.a.fingerprint(), req.b.fingerprint())
-        if node.service.plans.peek(key) is not None:
-            return False, 0.0
-        plan, transfer_s = self.plan_index.fetch(key, node, self.nodes)
-        return plan is not None, transfer_s
-
-    def note_plan(self, node: ClusterNode, req: Request) -> None:
-        """After a dispatch: index the plan the node now holds."""
-        key = (req.a.fingerprint(), req.b.fingerprint())
-        if node.service.plans.peek(key) is not None:
-            self.plan_index.note(key, node.name)

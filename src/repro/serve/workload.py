@@ -7,11 +7,15 @@ reuse** over the evaluation suite's matrices and **Poisson (open-loop)
 arrivals** at a configurable rate.  Everything derives from one seed, so
 a run is exactly reproducible.
 
-:func:`run_serve_bench` assembles service + scheduler, replays the
-workload in virtual time, verifies that a cache-hit multiply is
-bit-identical to a cold one, and returns a :class:`BenchReport` with
-throughput, tail latency, cache effectiveness and shedding statistics —
-the CLI renders it, CI archives its JSON.
+:func:`run_serve_bench` assembles service + scheduler (the one-node
+caller of :func:`repro.serve.scheduler.run_event_loop`), replays the
+workload in virtual time, and returns a :class:`BenchReport` with
+throughput, tail latency, cache effectiveness and shedding statistics.
+The correctness stack is shared with ``cluster-bench``:
+:func:`verify_execute_identical` cross-checks cold, plan-hit and
+adopted-replica execute outputs bit for bit, and
+:func:`reference_products` / :func:`count_wrong_results` compare served
+outputs with independently computed references.
 """
 
 from __future__ import annotations
@@ -39,9 +43,13 @@ __all__ = [
     "WORKLOADS",
     "WorkloadSpec",
     "BenchReport",
+    "ReplayReport",
     "build_requests",
+    "count_wrong_results",
+    "reference_products",
     "run_serve_bench",
     "serve_corpus",
+    "verify_execute_identical",
 ]
 
 #: Request shapes the benchmark can replay.  ``plain`` is one multiply per
@@ -280,8 +288,11 @@ def build_requests(
 
 
 @dataclass
-class BenchReport:
-    """Everything ``serve-bench`` measures, JSON-exportable."""
+class ReplayReport:
+    """What every bench report carries: outcome counts, latency,
+    first-100 hit rate, brownouts, speculation and the correctness
+    checks.  :class:`BenchReport` and the fleet's
+    :class:`~repro.cluster.bench.ClusterBenchReport` extend it."""
 
     config: Dict[str, object] = field(default_factory=dict)
     offered: int = 0
@@ -294,24 +305,20 @@ class BenchReport:
     throughput_rps: float = 0.0
     #: End-to-end latency stats (arrival → completion), seconds.
     latency: Dict[str, float] = field(default_factory=dict)
-    #: Modelled service time of cache-hit vs cold requests, seconds.
-    hit_latency_mean_s: float = 0.0
-    cold_latency_mean_s: float = 0.0
-    #: cold mean / hit mean (higher = caching helps more).
-    hit_speedup: float = 0.0
-    cache: Dict[str, object] = field(default_factory=dict)
     #: Plan-cache hit rate over the first 100 served requests (request-id
     #: order) — the warm-restart signal: a store-warmed service hits from
     #: request one, a cold one pays a miss per distinct structure.
     first_100_hit_rate: float = 0.0
-    #: Plans adopted from a durable store at startup (0 without a store).
+    #: Plans adopted from durable stores at startup (0 without a store).
     warm_plans: int = 0
     #: Dispatches per brownout rung (full / lb_fallback / minimal).
     brownouts: Dict[str, int] = field(default_factory=dict)
-    #: Bit-identical verification of hit vs cold output (always checked;
-    #: with ``--speculative`` it additionally covers speculative and
-    #: bound-violation-fallback executes against the exact pipeline).
+    #: The execute-mode cross-check (:func:`verify_execute_identical`)
+    #: passed and, where checked, no result was wrong.
     bit_identical: bool = False
+    #: Completed results whose C mismatched the independent exact
+    #: reference (:func:`reference_products`); must be 0.
+    wrong_results: int = 0
     #: Cold requests planned from a sampled estimate (0 without
     #: ``--speculative``).
     speculative_cold: int = 0
@@ -320,30 +327,55 @@ class BenchReport:
     fallbacks: int = 0
     #: ``fallbacks / speculative_cold`` (0.0 when nothing speculated).
     fallback_rate: float = 0.0
-    #: Completed results whose C mismatched the exact reference product
-    #: (computed under ``--estimate``/``--speculative`` and for every
-    #: non-plain ``--workload``; must be 0).
-    wrong_results: int = 0
-    #: Aggregated graph-workload counters (empty for the plain workload):
-    #: mask prune ratio, chain plan-reuse hits/rate, incremental
-    #: recomputed-vs-total rows.
-    workload_stats: Dict[str, float] = field(default_factory=dict)
     metrics: Dict[str, object] = field(default_factory=dict)
 
+    @staticmethod
+    def counts(
+        outcomes: Sequence[RequestOutcome], offered: int, duration_s: float
+    ) -> Dict[str, object]:
+        """Status counts, retries, throughput and first-100 hit rate."""
+        completed = sum(1 for o in outcomes if o.ok)
+        first = sorted((o for o in outcomes if o.ok), key=lambda o: o.request_id)
+        first = first[:100]
+        return {
+            "offered": offered,
+            "completed": completed,
+            "shed": sum(1 for o in outcomes if o.status == "shed"),
+            "timed_out": sum(1 for o in outcomes if o.status == "timeout"),
+            "failed": sum(1 for o in outcomes if o.status == "failed"),
+            "retried": sum(o.attempts for o in outcomes),
+            "throughput_rps": completed / duration_s,
+            "first_100_hit_rate": (
+                sum(1 for o in first if o.cache_hit) / len(first) if first else 0.0
+            ),
+        }
+
+    @staticmethod
+    def from_counters(counters: Dict[str, object]) -> Dict[str, object]:
+        """Warm plans and speculation outcomes from service counters."""
+        cold = int(counters.get("service.speculative_cold", 0))
+        fallbacks = int(counters.get("service.speculative_fallbacks", 0))
+        return {
+            "warm_plans": int(counters.get("service.warm_plans", 0)),
+            "speculative_cold": cold,
+            "fallbacks": fallbacks,
+            "fallback_rate": fallbacks / cold if cold else 0.0,
+        }
+
     @property
-    def hit_rate(self) -> float:
-        return float(self.cache.get("hit_rate", 0.0))
+    def passed(self) -> bool:
+        """No wrong result and the execute cross-check held."""
+        return not self.wrong_results and self.bit_identical
 
     def to_json(self, indent: int = 2) -> str:
         out = dict(self.__dict__)
         out["hit_rate"] = self.hit_rate
         return json.dumps(out, indent=indent, sort_keys=True, default=str)
 
-    def render(self) -> str:
-        """Human-readable report for the CLI."""
-        lines = [
-            "serve-bench report",
-            "------------------",
+    def _head(self, title: str) -> List[str]:
+        return [
+            title,
+            "-" * len(title),
             f"offered {self.offered} requests; completed {self.completed} "
             f"({self.throughput_rps:.1f} req/s), shed {self.shed}, "
             f"timed out {self.timed_out}, failed {self.failed}, "
@@ -357,6 +389,51 @@ class BenchReport:
                     for k in ("p50", "p95", "p99", "mean")
                 }
             ),
+        ]
+
+    def _tail(self) -> List[str]:
+        lines = []
+        if self.speculative_cold:
+            lines.append(
+                f"speculative: {self.speculative_cold} cold plans from "
+                f"sampled estimates, {self.fallbacks} bound-violation "
+                f"fallbacks ({self.fallback_rate * 100:.1f}%)"
+            )
+        degraded = {k: v for k, v in self.brownouts.items() if k != "full"}
+        if degraded:
+            lines.append(
+                "brownout dispatches: "
+                + ", ".join(f"{k}={v}" for k, v in sorted(degraded.items()))
+            )
+        lines.append(
+            f"execute cross-check bit-identical: {self.bit_identical}; "
+            f"{self.wrong_results} wrong results"
+        )
+        return lines
+
+
+@dataclass
+class BenchReport(ReplayReport):
+    """Everything ``serve-bench`` measures, JSON-exportable."""
+
+    #: Modelled service time of cache-hit vs cold requests, seconds.
+    hit_latency_mean_s: float = 0.0
+    cold_latency_mean_s: float = 0.0
+    #: cold mean / hit mean (higher = caching helps more).
+    hit_speedup: float = 0.0
+    cache: Dict[str, object] = field(default_factory=dict)
+    #: Aggregated graph-workload counters (empty for the plain workload):
+    #: mask prune ratio, chain plan-reuse hits/rate, incremental
+    #: recomputed-vs-total rows.
+    workload_stats: Dict[str, float] = field(default_factory=dict)
+
+    @property
+    def hit_rate(self) -> float:
+        return float(self.cache.get("hit_rate", 0.0))
+
+    def render(self) -> str:
+        """Human-readable report for the CLI."""
+        lines = self._head("serve-bench report") + [
             f"plan cache: hit rate {self.hit_rate * 100:.1f}%  "
             f"({self.cache.get('hits', 0)} hits / "
             f"{self.cache.get('misses', 0)} misses, "
@@ -369,114 +446,105 @@ class BenchReport:
             f"first 100 served: hit rate {self.first_100_hit_rate * 100:.1f}%"
             + (f" (warm-started with {self.warm_plans} plans)"
                if self.warm_plans else ""),
-            f"hit/cold outputs bit-identical: {self.bit_identical}",
         ]
-        if self.speculative_cold:
-            lines.append(
-                f"speculative: {self.speculative_cold} cold plans from "
-                f"sampled estimates, {self.fallbacks} bound-violation "
-                f"fallbacks ({self.fallback_rate * 100:.1f}%), "
-                f"{self.wrong_results} wrong results"
-            )
         if self.workload_stats:
             pairs = ", ".join(
                 f"{k}={v:.4g}"
                 for k, v in sorted(self.workload_stats.items())
             )
             lines.append(
-                f"workload ({self.config.get('workload', 'plain')}): "
-                f"{pairs}; {self.wrong_results} wrong results"
+                f"workload ({self.config.get('workload', 'plain')}): {pairs}"
             )
-        degraded = {k: v for k, v in self.brownouts.items() if k != "full"}
-        if degraded:
-            lines.append(
-                "brownout dispatches: "
-                + ", ".join(f"{k}={v}" for k, v in sorted(degraded.items()))
-            )
-        return "\n".join(lines)
+        return "\n".join(lines + self._tail())
 
 
-def _verify_bit_identical(
-    cases: Sequence[MatrixCase],
+def verify_execute_identical(
+    case: MatrixCase,
     device: DeviceSpec,
     params: SpeckParams,
     *,
     speculative: bool = False,
 ) -> bool:
-    """Cold multiply vs plan-cache-hit multiply must agree bit for bit.
+    """Cold vs plan-hit vs adopted-replica execute runs must agree bitwise.
 
     Uses ``mode="execute"`` so C really flows through the adaptive
-    accumulators both times rather than the shared exact engine.  With
+    accumulators rather than the shared exact engine.  One service
+    plans cold, then hits its cached plan; a second service adopts a
+    replica of that plan (the cluster's replication path).  With
     ``speculative`` the check widens: a speculative cold execute *and* a
     bound-violation fallback execute (bounds deflated via the
-    ``estimate_skew`` fault site) must both match the exact pipeline.
+    ``estimate_skew`` fault site) must match too.
     """
-    case = cases[0]
     a, b = case.matrices()
-    svc = SpGEMMService(device, params)
-    cold = svc.multiply(a, b, mode="execute")
-    hit = svc.multiply(a, b, mode="execute")
-    if cold.c is None or hit.c is None:
+    home = SpGEMMService(device, params)
+    cold = home.multiply(a, b, mode="execute")
+    hit = home.multiply(a, b, mode="execute")
+    plan = home.plans.peek((a.fingerprint(), b.fingerprint()))
+    if hit.decisions.get("plan_cache") != "hit" or plan is None:
         return False
-    if hit.decisions.get("plan_cache") != "hit":
+    peer = SpGEMMService(device, params)
+    peer.plans.adopt(plan)
+    replica = peer.multiply(a, b, mode="execute")
+    if replica.decisions.get("plan_cache") != "hit":
         return False
-    others = [hit.c]
+    others = [hit, replica]
     if speculative:
         spec = SpGEMMService(device, params, speculative=True).multiply(
             a, b, mode="execute", case_name=case.name
         )
         # Deflate the bounds so the execute-time check trips and the
-        # engine takes the exact-analysis fallback — output must still
-        # match the exact pipeline bit for bit.
+        # engine takes the exact-analysis fallback.
         skew = FaultPlan([FaultRule(site="estimate_skew", factor=0.01)])
         fb = SpGEMMService(device, params, speculative=True).multiply(
             a, b, mode="execute", faults=skew, case_name=case.name
         )
-        if spec.c is None or fb.c is None:
-            return False
         if not fb.decisions.get("speculative_fallback"):
             return False
-        others += [spec.c, fb.c]
-    return all(
-        np.array_equal(cold.c.indptr, c.indptr)
-        and np.array_equal(cold.c.indices, c.indices)
-        and np.array_equal(cold.c.data, c.data)
-        for c in others
+        others += [spec, fb]
+    return cold.c is not None and all(
+        r.c is not None
+        and all(
+            np.array_equal(getattr(cold.c, f), getattr(r.c, f))
+            for f in ("indptr", "indices", "data")
+        )
+        for r in others
     )
 
 
-def _count_wrong_results(
-    outcomes: Sequence[RequestOutcome],
+def reference_products(
     cases: Sequence[MatrixCase],
-    *,
-    spec: Optional[WorkloadSpec] = None,
-    artifacts: Optional[Dict[str, Dict[str, object]]] = None,
-) -> int:
-    """Completed results whose C differs from an independently computed
-    exact reference product (structure or values).
+    spec: WorkloadSpec,
+    artifacts: Dict[str, Dict[str, object]],
+) -> Dict[str, CSR]:
+    """The independently computed expected C of every case.
 
-    For graph workloads the reference is the workload's own: the
+    The exact product for plain requests; for graph workloads the
+    workload's own reference from :func:`_workload_artifacts` — the
     mask-filtered product, the sequentially folded chain, or the full
-    recompute of the delta-updated operands.
+    recompute of the delta-updated operands.  None of them runs the
+    engine or the workload executors under test.
     """
-    workload = spec.workload if spec is not None else "plain"
-    refs: Dict[str, tuple] = {}
-    for case in cases:
-        if workload != "plain":
-            c = artifacts[case.name]["ref"]
-        else:
-            a, b = case.matrices()
-            c = MultiplyContext(a, b).c
-        refs[case.name] = (c.fingerprint(), c.fingerprint_values())
+    if spec.workload != "plain":
+        return {case.name: artifacts[case.name]["ref"] for case in cases}
+    return {case.name: MultiplyContext(*case.matrices()).c for case in cases}
+
+
+def count_wrong_results(
+    outcomes: Sequence[RequestOutcome], refs: Dict[str, CSR]
+) -> int:
+    """Completed results whose C differs from the case's reference
+    (structure or values)."""
+    want = {
+        name: (c.fingerprint(), c.fingerprint_values()) for name, c in refs.items()
+    }
     wrong = 0
     for o in outcomes:
-        if not o.ok or o.result is None or o.result.c is None:
-            continue
-        ref = refs.get(o.case_name)
-        if ref is None:
+        if not o.ok or o.result is None or o.case_name not in want:
             continue
         c = o.result.c
-        if (c.fingerprint(), c.fingerprint_values()) != ref:
+        if c is not None and (c.fingerprint(), c.fingerprint_values()) != want[
+            o.case_name
+        ]:
             wrong += 1
     return wrong
 
@@ -545,55 +613,19 @@ def run_serve_bench(
             service.multiply(a, b, case_name=case.name)
     requests = build_requests(cases, spec, artifacts=artifacts)
     outcomes = scheduler.run(requests)
-    check_wrong = estimate or spec.workload != "plain"
-    return summarize(
-        outcomes,
-        service,
-        scheduler,
-        spec,
-        bit_identical=_verify_bit_identical(
-            cases, device, params, speculative=speculative
-        ),
-        estimate=estimate,
-        speculative=speculative,
-        wrong_results=(
-            _count_wrong_results(
-                outcomes, cases, spec=spec, artifacts=artifacts
-            )
-            if check_wrong
-            else 0
-        ),
-    )
+    wrong = 0
+    if estimate or spec.workload != "plain":
+        wrong = count_wrong_results(
+            outcomes, reference_products(cases, spec, artifacts)
+        )
 
-
-def summarize(
-    outcomes: Sequence[RequestOutcome],
-    service: SpGEMMService,
-    scheduler: ServeScheduler,
-    spec: WorkloadSpec,
-    *,
-    bit_identical: bool,
-    estimate: bool = False,
-    speculative: bool = False,
-    wrong_results: int = 0,
-) -> BenchReport:
-    """Fold outcomes + metrics into a :class:`BenchReport`."""
     snap = service.snapshot()
     hists = snap.get("histograms", {})
     lat = hists.get("scheduler.latency_s", {})
     hit_mean = float(hists.get("service.latency_hit_s", {}).get("mean", 0.0))
     cold_mean = float(hists.get("service.latency_cold_s", {}).get("mean", 0.0))
-    completed = sum(1 for o in outcomes if o.ok)
-    first = sorted((o for o in outcomes if o.ok), key=lambda o: o.request_id)
-    first = first[:100]
-    first_100 = (
-        sum(1 for o in first if o.cache_hit) / len(first) if first else 0.0
-    )
     counters = snap.get("counters", {})
-    warm_plans = int(counters.get("service.warm_plans", 0))
-    spec_cold = int(counters.get("service.speculative_cold", 0))
-    fallbacks = int(counters.get("service.speculative_fallbacks", 0))
-    report = BenchReport(
+    return BenchReport(
         config={
             "rate": spec.rate,
             "duration_s": spec.duration_s,
@@ -606,16 +638,11 @@ def summarize(
             # A boolean, never the path: reports stay byte-identical
             # across machines and temp directories.
             "plan_store": service.plan_store is not None,
-            "estimate": bool(estimate),
+            "estimate": estimate,
             "speculative": bool(speculative),
         },
-        offered=len(outcomes),
-        completed=completed,
-        shed=sum(1 for o in outcomes if o.status == "shed"),
-        timed_out=sum(1 for o in outcomes if o.status == "timeout"),
-        failed=sum(1 for o in outcomes if o.status == "failed"),
-        retried=sum(o.attempts for o in outcomes),
-        throughput_rps=completed / spec.duration_s,
+        **BenchReport.counts(outcomes, len(requests), spec.duration_s),
+        **BenchReport.from_counters(counters),
         latency={
             k: float(lat.get(k, 0.0)) for k in ("mean", "p50", "p95", "p99")
         },
@@ -623,18 +650,14 @@ def summarize(
         cold_latency_mean_s=cold_mean,
         hit_speedup=cold_mean / hit_mean if hit_mean > 0 else 0.0,
         cache=snap.get("plan_cache", {}),
-        first_100_hit_rate=first_100,
-        warm_plans=warm_plans,
         brownouts=dict(sorted(scheduler.admission.brownout_modes.items())),
-        bit_identical=bit_identical,
-        speculative_cold=spec_cold,
-        fallbacks=fallbacks,
-        fallback_rate=fallbacks / spec_cold if spec_cold else 0.0,
-        wrong_results=int(wrong_results),
+        bit_identical=verify_execute_identical(
+            cases[0], device, params, speculative=speculative
+        ),
+        wrong_results=wrong,
         workload_stats=_workload_stats(outcomes, spec),
         metrics=snap,
     )
-    return report
 
 
 def _workload_stats(

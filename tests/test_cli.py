@@ -176,3 +176,57 @@ class TestServeBench:
                      "--faults", "alloc:p=nope"]) == 2
         err = capsys.readouterr().err
         assert "alloc:p=nope" in err
+
+
+class TestBenchFlags:
+    #: One non-default value per flag serve-bench and cluster-bench share.
+    SHARED = {
+        "--workers": ("3", "workers", 3),
+        "--rate": ("123.5", "rate", 123.5),
+        "--duration": ("0.75", "duration", 0.75),
+        "--alpha": ("0.9", "alpha", 0.9),
+        "--timeout": ("0", "timeout", 0.0),
+        "--seed": ("4", "seed", 4),
+        "--workload": ("chain", "workload", "chain"),
+        "--chain-length": ("4", "chain_length", 4),
+        "--mask-density": ("0.5", "mask_density", 0.5),
+        "--delta-frac": ("0.1", "delta_frac", 0.1),
+        "--cache-mb": ("8", "cache_mb", 8.0),
+        "--queue-depth": ("9", "queue_depth", 9),
+        "--faults": ("alloc:n=1", "faults", "alloc:n=1"),
+        "--plan-store": ("dir", "plan_store", "dir"),
+        "--estimate": (None, "estimate", True),
+        "--speculative": (None, "speculative", True),
+        "--json": ("r.json", "json", "r.json"),
+    }
+
+    def test_covers_every_shared_flag(self):
+        from repro.cli import _BENCH_ARGS
+
+        assert set(self.SHARED) == {flag for flag, _ in _BENCH_ARGS}
+
+    @pytest.mark.parametrize("command", ["serve-bench", "cluster-bench"])
+    def test_every_shared_flag_parses(self, command):
+        argv = [command]
+        for flag, (value, _, _) in self.SHARED.items():
+            argv += [flag] if value is None else [flag, value]
+        args = build_parser().parse_args(argv)
+        for flag, (_, dest, want) in self.SHARED.items():
+            assert getattr(args, dest) == want, flag
+
+    @pytest.mark.parametrize(
+        "command,rate,duration,timeout,queue_depth",
+        [
+            ("serve-bench", 4000.0, 5.0, 1.0, 256),
+            ("cluster-bench", 80_000.0, 0.5, 0.25, 128),
+        ],
+    )
+    def test_per_command_defaults(self, command, rate, duration, timeout,
+                                  queue_depth):
+        args = build_parser().parse_args([command])
+        assert (args.rate, args.duration, args.timeout, args.queue_depth) == (
+            rate, duration, timeout, queue_depth
+        )
+        assert (args.workers, args.alpha, args.workload, args.cache_mb) == (
+            2, 1.1, "plain", 256.0
+        )

@@ -396,6 +396,22 @@ class TestScheduler:
         assert all(o.reject is not None for o in shed)
         assert sched.service.snapshot()["counters"]["scheduler.shed"] == len(shed)
 
+    def test_inflight_bytes_stay_committed_until_completion(self):
+        # Memory for one request's footprint but not two: a second
+        # arrival while the first still runs fits only if the running
+        # request's bytes were (wrongly) released at dispatch.
+        a = _mesh(40)
+        first = Request(id=0, a=a, b=a, arrival_s=0.0)
+        limit = AdmissionController(TITAN_V).memory_limit
+        policy = AdmissionPolicy(output_factor=0.6 * limit / first.input_bytes())
+        service_s = SpGEMMService(TITAN_V, DEFAULT_PARAMS).multiply(a, a).time_s
+        second = Request(id=1, a=a, b=a, arrival_s=0.5 * service_s)
+        outs = self._sched(n_workers=1, policy=policy).run([first, second])
+        by_id = {o.request_id: o for o in outs}
+        assert by_id[0].ok and by_id[0].finish_s > second.arrival_s
+        assert by_id[1].status == "shed"
+        assert by_id[1].reject.reason == "memory_pressure"
+
     def test_rejects_bad_config(self):
         svc = SpGEMMService(TITAN_V, DEFAULT_PARAMS)
         with pytest.raises(ValueError):
