@@ -238,6 +238,16 @@ class TestPlanIndex:
 # The fleet bench: determinism, failover, conservation
 # ---------------------------------------------------------------------------
 class TestClusterBench:
+    def test_fleet_node_is_an_unbatched_arrival_order_scheduler(self):
+        from repro.cluster import ClusterNode
+        from repro.serve import ServeScheduler
+
+        node = ClusterNode("node-0", PRESETS["titan-v"], speculative=True)
+        # The estimator still bounds admission footprints; fleet nodes
+        # just neither batch same-A requests nor order by estimated cost.
+        assert isinstance(node, ServeScheduler) and node.estimator is not None
+        assert node.max_batch == 1 and not node.order_by_cost
+
     def test_report_is_byte_deterministic(self, corpus):
         def go():
             return run_cluster_bench(
