@@ -24,9 +24,10 @@ import numpy as np
 
 from ..eval.suite import MatrixCase
 from ..gpu import DeviceSpec, TITAN_V
-from .config import build_configs, config_index_for_entries
+from .config import build_configs
 from .context import MultiplyContext
-from .params import LbThresholds, SpeckParams
+from .global_lb import largest_config, numeric_inputs, symbolic_inputs
+from .params import DEFAULT_PARAMS, LbThresholds, SpeckParams
 from .speck import SpeckEngine
 
 __all__ = ["MatrixFeatures", "TuningResult", "measure_combos", "tune", "autotune"]
@@ -95,26 +96,15 @@ def measure_combos(
     for case in cases:
         a, b = case.matrices()
         ctx = MultiplyContext(a, b)
-        analysis = ctx.analysis
-        mean_prod = max(analysis.mean_products(), 1e-9)
-        c_row = ctx.c_row_nnz
-        mean_c = max(float(c_row.mean()) if c_row.size else 0.0, 1e-9)
-        max_c = int(c_row.max()) if c_row.size else 0
+        _, ratio_sym, max_sym = symbolic_inputs(ctx.analysis)
+        _, ratio_num, max_num = numeric_inputs(ctx.c_row_nnz, DEFAULT_PARAMS)
         f = MatrixFeatures(
             name=case.name,
-            ratio_sym=analysis.prod_max / mean_prod,
-            ratio_num=max_c / mean_c,
+            ratio_sym=ratio_sym,
+            ratio_num=ratio_num,
             rows=a.rows,
-            largest_cfg_sym=int(
-                config_index_for_entries(
-                    np.array([analysis.prod_max]), configs, "symbolic"
-                )[0]
-            ),
-            largest_cfg_num=int(
-                config_index_for_entries(
-                    np.array([int(np.ceil(max_c / 0.66))]), configs, "numeric"
-                )[0]
-            ),
+            largest_cfg_sym=largest_config(max_sym, configs, "symbolic"),
+            largest_cfg_num=largest_config(max_num, configs, "numeric"),
         )
         for i, (lb_s, lb_n) in enumerate(COMBOS):
             params = SpeckParams(force_lb_symbolic=lb_s, force_lb_numeric=lb_n)

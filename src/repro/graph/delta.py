@@ -284,15 +284,17 @@ def _patched_plan(old_plan, key, sub_analysis, affected, c_row_nnz, device, para
 
     Per-row analysis arrays are copied and overwritten only at the
     affected rows (the aggregates recompute in ``RowAnalysis.__post_init__``);
-    the binning plans and pass records are rebuilt from the patched
-    arrays exactly as the engine's cold exact path builds them, so a
-    later cold multiply of the new operands would produce an identical
-    plan.  Host-side maintenance — none of it is charged device time.
+    the binning decisions and plans come from the same
+    :func:`~repro.core.global_lb.plan_stage` calls on the same exact
+    inputs (:func:`~repro.core.global_lb.symbolic_inputs`,
+    :func:`~repro.core.global_lb.numeric_inputs`) as the engine's cold
+    exact path, and the pass records from the same ``run_pass``, so a
+    later cold multiply of the new operands produces an identical plan.
+    Host-side maintenance — none of it is charged device time.
     """
-    from ..core.config import build_configs, config_index_for_entries
-    from ..core.global_lb import balanced_plan, uniform_plan
+    from ..core.config import build_configs
+    from ..core.global_lb import numeric_inputs, plan_stage, symbolic_inputs
     from ..core.passes import run_pass
-    from ..core.speck import _lb_decision
     from ..serve.plan_cache import CachedPlan
 
     old = old_plan.analysis
@@ -307,46 +309,14 @@ def _patched_plan(old_plan, key, sub_analysis, affected, c_row_nnz, device, para
     analysis = RowAnalysis(**patched)
 
     configs = build_configs(device)
-    n_cfg = len(configs)
-    rows = analysis.rows
-    mean_prod = max(analysis.mean_products(), 1e-9)
-    ratio_sym = analysis.prod_max / mean_prod
-    largest_sym = int(
-        config_index_for_entries(
-            np.array([analysis.prod_max]), configs, "symbolic"
-        )[0]
+    sym_inputs = symbolic_inputs(analysis)
+    num_inputs = numeric_inputs(c_row_nnz, params)
+    use_lb_sym, plan_sym = plan_stage(
+        "symbolic", sym_inputs, analysis.rows, params, configs
     )
-    use_lb_sym = _lb_decision(
-        "symbolic", params, ratio_sym, rows, largest_sym, n_cfg
+    use_lb_num, plan_num = plan_stage(
+        "numeric", num_inputs, analysis.rows, params, configs
     )
-    if use_lb_sym:
-        plan_sym = balanced_plan(
-            analysis.products, configs, "symbolic",
-            merge_smallest=params.enable_block_merge,
-        )
-    else:
-        plan_sym = uniform_plan(analysis.products, configs, "symbolic")
-
-    fill = max(params.numeric_max_fill, 1e-9)
-    num_entries = np.ceil(c_row_nnz / fill).astype(np.int64)
-    max_c = int(c_row_nnz.max()) if c_row_nnz.size else 0
-    mean_c = max(float(c_row_nnz.mean()) if c_row_nnz.size else 0.0, 1e-9)
-    ratio_num = max_c / mean_c
-    num_driver = int(num_entries.max()) if num_entries.size else 0
-    largest_num = int(
-        config_index_for_entries(np.array([num_driver]), configs, "numeric")[0]
-    )
-    use_lb_num = _lb_decision(
-        "numeric", params, ratio_num, rows, largest_num, n_cfg
-    )
-    if use_lb_num:
-        plan_num = balanced_plan(
-            num_entries, configs, "numeric",
-            merge_smallest=params.enable_block_merge,
-        )
-    else:
-        plan_num = uniform_plan(num_entries, configs, "numeric")
-
     sym = run_pass(
         "symbolic", analysis, plan_sym, c_row_nnz, configs, params, device
     )
@@ -359,8 +329,8 @@ def _patched_plan(old_plan, key, sub_analysis, affected, c_row_nnz, device, para
         c_row_nnz=c_row_nnz,
         use_lb_symbolic=use_lb_sym,
         use_lb_numeric=use_lb_num,
-        ratio_symbolic=float(ratio_sym),
-        ratio_numeric=float(ratio_num),
+        ratio_symbolic=float(sym_inputs[1]),
+        ratio_numeric=float(num_inputs[1]),
         plan_sym=plan_sym,
         plan_num=plan_num,
         sym=sym,
