@@ -18,8 +18,12 @@ def brute_force_analysis(a: CSR, b: CSR):
     max_ref = np.zeros(a.rows, dtype=np.int64)
     col_min = np.zeros(a.rows, dtype=np.int64)
     col_max = np.full(a.rows, -1, dtype=np.int64)
+    adjacency = np.zeros(a.rows, dtype=np.int64)
     for i in range(a.rows):
         cols, _ = a.row(i)
+        adjacency[i] = sum(
+            int(cols[k + 1]) == int(cols[k]) + 1 for k in range(cols.size - 1)
+        )
         lo, hi = np.iinfo(np.int64).max, -1
         for k in cols:
             b_cols, _ = b.row(int(k))
@@ -30,7 +34,7 @@ def brute_force_analysis(a: CSR, b: CSR):
                 hi = max(hi, int(b_cols[-1]))
         if prods[i] > 0:
             col_min[i], col_max[i] = lo, hi
-    return prods, max_ref, col_min, col_max
+    return prods, max_ref, col_min, col_max, adjacency
 
 
 class TestAnalyze:
@@ -39,11 +43,18 @@ class TestAnalyze:
     def test_matches_brute_force(self, a):
         b = a.transpose()
         an = analyze(a, b)
-        prods, max_ref, col_min, col_max = brute_force_analysis(a, b)
+        prods, max_ref, col_min, col_max, adjacency = brute_force_analysis(a, b)
         assert np.array_equal(an.products, prods)
         assert np.array_equal(an.max_ref_row, max_ref)
         assert np.array_equal(an.col_min, col_min)
         assert np.array_equal(an.col_max, col_max)
+        assert np.array_equal(an.adjacency, adjacency)
+
+    def test_adjacency_of_empty_first_row(self):
+        # Row 0 is empty; row 1 references B rows 0, 1, 2 (two adjacent pairs).
+        a = CSR.from_coo([1, 1, 1], [0, 1, 2], [1.0, 1.0, 1.0], (2, 3))
+        b = CSR.from_coo([0, 1, 2], [0, 0, 0], [1.0, 1.0, 1.0], (3, 1))
+        assert analyze(a, b).adjacency.tolist() == [0, 2]
 
     def test_aggregates(self, rng):
         a = random_csr(rng, 30, 30, 0.1)

@@ -10,6 +10,8 @@ workload modes, and the MCL migration onto :class:`ChainRunner`.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -300,6 +302,41 @@ class TestDelta:
             a_new, b, mode="execute"
         )
         assert bitwise_equal(after.c, cold.c)
+
+
+    def test_patched_plan_equals_cold_plan(self):
+        a = gen.banded(80, 3, seed=13)
+        b = gen.random_uniform(a.cols, a.cols, 2.0, seed=6)
+        svc = small_service()
+        c_old = svc.multiply(a, b).c
+        delta = random_delta(a, rng=np.random.default_rng(0), frac=0.05)
+        assert incremental_multiply(a, b, c_old, delta, service=svc).plan_patched
+        a_new = apply_delta(a, delta)
+        cold_svc = small_service()
+        cold_svc.multiply(a_new, b)
+        key = plan_key(a_new, b)
+        patched, cold = svc.plans.peek(key), cold_svc.plans.peek(key)
+
+        def same(x, y, what):
+            if isinstance(x, np.ndarray):
+                assert x.dtype == y.dtype and np.array_equal(x, y), what
+            else:
+                assert x == y, what
+
+        for name in (
+            "products", "max_ref_row", "col_min", "col_max", "a_row_nnz",
+            "adjacency",
+        ):
+            same(getattr(patched.analysis, name), getattr(cold.analysis, name), name)
+        for name in (
+            "c_row_nnz", "use_lb_symbolic", "use_lb_numeric", "ratio_symbolic",
+            "ratio_numeric", "checksum",
+        ):
+            same(getattr(patched, name), getattr(cold, name), name)
+        for name in ("plan_sym", "plan_num", "sym", "num"):
+            x, y = getattr(patched, name), getattr(cold, name)
+            for f in dataclasses.fields(x):
+                same(getattr(x, f.name), getattr(y, f.name), f"{name}.{f.name}")
 
 
 # ---------------------------------------------------------------------------
