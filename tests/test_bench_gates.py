@@ -1,6 +1,8 @@
-"""Smoke gates on the ``serve-bench`` / ``cluster-bench`` reports.
+"""Smoke gates on the CLI: ``serve-bench`` / ``cluster-bench`` reports,
+the small ``bench`` sweep under injected faults, and ``repro check``
+against a planted engine bug.
 
-Each run comes from :mod:`bench_configs` through the session-wide
+Each bench report comes from :mod:`bench_configs` through the session-wide
 ``bench_report`` fixture, so a configuration that is also pinned by a
 golden (``tests/test_golden.py``) runs once.  Same-seed byte identity
 of the pinned runs is checked by their goldens: a fresh run, with fresh
@@ -10,11 +12,15 @@ plan-store directories, must reproduce the committed bytes.
 from __future__ import annotations
 
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import pytest
 
 from bench_configs import run_config
+from repro.cli import main
 from repro.cluster import bench as cluster_bench
+from repro.eval import small_corpus
 from repro.graph import masked
 from repro.matrices.csr import CSR
 
@@ -160,6 +166,47 @@ class TestChaosGates:
         assert warm["warm_plans"] > 0, warm["plan_store"]
         assert warm["plan_store"]["quarantined_corrupt"] >= 1
         assert warm["first_100_hit_rate"] > cold["first_100_hit_rate"]
+
+
+def _cli(argv):
+    """``(exit code, stdout, stderr)`` of one in-process CLI run."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestFaultSweepGates:
+    @pytest.mark.parametrize("faults", ["", "alloc:n=1", "alloc:n=1:transient"])
+    def test_small_sweep_survives(self, faults):
+        # Every first allocation failing, or failing once (retries recover).
+        argv = ["bench", "--small"] + (["--faults", faults] if faults else [])
+        assert _cli(argv)[0] == 0
+
+    def test_checkpoint_resume_skips_every_case(self, tmp_path):
+        argv = [
+            "bench", "--small", "--faults", "seed=7;launch:p=0.2",
+            "--checkpoint", str(tmp_path / "sweep.jsonl"),
+        ]
+        assert _cli(argv)[0] == 0
+        code, out, _ = _cli(argv)
+        assert code == 0
+        assert out.count("checkpointed, skipped") == len(small_corpus()), out
+
+    def test_malformed_fault_spec_exits_two(self):
+        code, _, err = _cli(["bench", "--small", "--faults", "bogus:n=1"])
+        assert code == 2
+        assert "invalid --faults spec" in err
+
+
+class TestCheckGates:
+    def test_planted_engine_bug_is_caught_and_minimized(self, tmp_path):
+        code, _, _ = _cli([
+            "check", "--seed", "0", "--cases", "5", "--no-laws",
+            "--mutate", "drop-last-product", "--artifact-dir", str(tmp_path),
+        ])
+        assert code == 1
+        assert list(tmp_path.glob("*/repro.json"))
 
 
 # ---------------------------------------------------------------------------
