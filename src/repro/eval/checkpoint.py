@@ -19,21 +19,15 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Callable, Dict, Iterator, Optional
+from typing import Dict, Iterator, Optional
 
 __all__ = ["iter_jsonl", "append_jsonl", "repair_torn_tail"]
 
 
-def iter_jsonl(
-    path: str,
-    *,
-    on_bad_line: Optional[Callable[[str], None]] = None,
-) -> Iterator[Dict[str, object]]:
+def iter_jsonl(path: str) -> Iterator[Dict[str, object]]:
     """Yield one dict per parseable line (missing file yields nothing).
 
-    Lines that do not parse as a JSON object are skipped; callers that
-    need to *account* for them (the plan store quarantines corrupt WAL
-    records) pass ``on_bad_line``, which receives the raw offending line.
+    Lines that do not parse as a JSON object are skipped.
     """
     if not os.path.exists(path):
         return
@@ -45,18 +39,13 @@ def iter_jsonl(
             try:
                 entry = json.loads(line)
             except json.JSONDecodeError:
-                # torn tail write from an interrupted run, or bit rot
-                if on_bad_line is not None:
-                    on_bad_line(line)
-                continue
+                continue  # torn tail write from an interrupted run, or bit rot
             if isinstance(entry, dict):
                 yield entry
-            elif on_bad_line is not None:
-                on_bad_line(line)
 
 
 def append_jsonl(path: Optional[str], entry: Dict[str, object]) -> None:
-    """Append one record to the checkpoint (no-op when ``path`` is unset)."""
+    """Append one record to the log (no-op when ``path`` is unset)."""
     if not path:
         return
     with open(path, "a", encoding="utf-8") as fh:

@@ -419,15 +419,15 @@ class FaultScope:
     # -- durability sites --------------------------------------------------
     def disk_corrupt(self, tag: str = "") -> bool:
         """Consulted by the plan store once per WAL append: ``True`` means
-        the record lands on disk bit-flipped (a latent media error the
+        the frame lands on disk bit-flipped (a latent media error the
         load path must detect via the Plan IR checksum and quarantine).
         Never raises — corruption is silent by nature."""
         return self._consult("disk_corrupt", tag or self.method, None) is not None
 
     def disk_torn_write(self, tag: str = "") -> bool:
         """Consulted by the plan store once per WAL append: ``True`` means
-        the process "dies" mid-write, leaving a torn (truncated,
-        unterminated) final record for the next load to repair."""
+        the process "dies" mid-write, leaving a torn (half-written) final
+        frame for the next load to quarantine and truncate."""
         return (
             self._consult("disk_torn_write", tag or self.method, None) is not None
         )

@@ -461,7 +461,6 @@ def incremental_multiply(
     plan_patched = False
     if service is not None:
         from ..serve.plan_cache import plan_key
-        from ..serve.plan_ir import plan_checksum
 
         old_plan = service.plans.peek(plan_key(a_old, b))
         if old_plan is not None and old_plan.ready:
@@ -472,11 +471,10 @@ def incremental_multiply(
                 old_plan, plan_key(a_new, b_new), sub_analysis, affected,
                 new_nnz, device, params,
             )
-            new_plan.compat = service.compat
-            new_plan.checksum = plan_checksum(new_plan)
+            # Adopted before it is stamped, so adopt has no checksum to
+            # re-verify: the stamp encodes the plan once, for the store too.
             service.plans.adopt(new_plan)
-            if service.plan_store is not None:
-                service.plan_store.put(new_plan)
+            service.persist_plan(new_plan)
             plan_patched = True
             service.metrics.counter(
                 "service.plans_patched",

@@ -28,7 +28,10 @@ verifying: a bit flip anywhere (disk corruption, torn append, a peer
 replica damaged in transit) surfaces as :class:`PlanIRError` with
 ``reason="checksum"`` instead of a silently wrong plan.  The same digest
 doubles as the plan's identity for :meth:`PlanCache.adopt`'s integrity
-check (:func:`plan_checksum`).
+check (:func:`plan_checksum`).  A file of concatenated frames — the
+plan store's WAL and snapshot — is walked by :func:`split_frames`, which
+tells verified frames from damaged spans and resyncs after damage at the
+next magic.
 
 The header's ``mode`` field round-trips the plan's planning rung
 verbatim — including ``"speculative"`` for plans whose decisions came
@@ -59,6 +62,8 @@ __all__ = [
     "compat_key",
     "encode_frame",
     "decode_frame",
+    "frame_checksum",
+    "split_frames",
     "encode_record",
     "decode_record",
     "encode_plan",
@@ -109,20 +114,15 @@ def encode_frame(payload: bytes) -> bytes:
     )
 
 
-def decode_frame(data: bytes) -> bytes:
-    """Verify one SPIR frame and return its payload bytes.
-
-    Raises :class:`PlanIRError` with the standard ``reason`` taxonomy
-    (``"truncated"``/``"magic"``/``"version"``/``"checksum"``) on any
-    framing defect.
-    """
-    if len(data) < _HEADER_STRUCT.size:
+def _frame_end(data: bytes, pos: int = 0) -> int:
+    """Verify the frame starting at ``pos``; return the offset it ends at."""
+    if len(data) - pos < _HEADER_STRUCT.size:
         raise PlanIRError(
-            f"frame is {len(data)} B, shorter than the {_HEADER_STRUCT.size} B "
-            "header",
+            f"frame is {len(data) - pos} B, shorter than the "
+            f"{_HEADER_STRUCT.size} B header",
             reason="truncated",
         )
-    magic, version, length, digest = _HEADER_STRUCT.unpack_from(data)
+    magic, version, length, digest = _HEADER_STRUCT.unpack_from(data, pos)
     if magic != PLAN_IR_MAGIC:
         raise PlanIRError(f"bad magic {magic!r}", reason="magic")
     if version != PLAN_IR_VERSION:
@@ -130,15 +130,68 @@ def decode_frame(data: bytes) -> bytes:
             f"plan IR version {version}, this reader speaks {PLAN_IR_VERSION}",
             reason="version",
         )
-    payload = data[_HEADER_STRUCT.size:]
-    if len(payload) != length:
+    start = pos + _HEADER_STRUCT.size
+    if start + length > len(data):
         raise PlanIRError(
-            f"payload is {len(payload)} B, header declared {length} B",
+            f"payload is {len(data) - start} B, header declared {length} B",
             reason="truncated",
         )
+    payload = memoryview(data)[start : start + length]
     if hashlib.blake2b(payload, digest_size=16).digest() != digest:
         raise PlanIRError("payload digest mismatch (bit rot)", reason="checksum")
-    return payload
+    return start + length
+
+
+def decode_frame(data: bytes) -> bytes:
+    """Verify one SPIR frame and return its payload bytes.
+
+    Raises :class:`PlanIRError` with the standard ``reason`` taxonomy
+    (``"truncated"``/``"magic"``/``"version"``/``"checksum"``) on any
+    framing defect.
+    """
+    end = _frame_end(data)
+    if end != len(data):
+        raise PlanIRError(
+            f"payload is {len(data) - _HEADER_STRUCT.size} B, header declared "
+            f"{end - _HEADER_STRUCT.size} B",
+            reason="truncated",
+        )
+    return data[_HEADER_STRUCT.size:]
+
+
+def frame_checksum(frame: bytes) -> str:
+    """The payload digest (hex) an encoded frame's header carries.
+
+    For a frame :func:`encode_plan` just built this equals
+    :func:`plan_checksum` of the plan, without building the payload again.
+    """
+    return _HEADER_STRUCT.unpack_from(frame)[3].hex()
+
+
+def split_frames(data: bytes) -> List[Tuple[str, int, int]]:
+    """Split concatenated frames into verified frames and damaged spans.
+
+    Returns ``(kind, start, end)`` pieces that cover ``data`` in order.
+    ``kind`` is ``"frame"`` for one whole frame whose digest verifies,
+    ``"torn"`` for a frame cut short at the end of ``data`` (a write that
+    died mid-append), and ``"corrupt"`` for any other damaged span.  A
+    damaged span ends at the next magic, where the walk tries a frame
+    again, so damage never hides a later intact frame.
+    """
+    pieces: List[Tuple[str, int, int]] = []
+    pos = 0
+    while pos < len(data):
+        try:
+            end, kind = _frame_end(data, pos), "frame"
+        except PlanIRError as exc:
+            end, kind = data.find(PLAN_IR_MAGIC, pos + 1), "corrupt"
+            if end < 0:
+                end = len(data)
+                if exc.reason == "truncated":
+                    kind = "torn"
+        pieces.append((kind, pos, end))
+        pos = end
+    return pieces
 
 
 def encode_record(obj: object) -> bytes:
@@ -367,5 +420,5 @@ def decode_plan(data: bytes) -> Tuple[CachedPlan, str]:
     except Exception as exc:  # malformed-but-checksummed payload
         raise PlanIRError(f"malformed payload: {exc}", reason="corrupt") from exc
     plan.compat = compat
-    plan.checksum = hashlib.blake2b(payload, digest_size=16).hexdigest()
+    plan.checksum = frame_checksum(data)  # verified by decode_frame
     return plan, compat

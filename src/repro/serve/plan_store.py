@@ -4,44 +4,49 @@ spECK's analysis artifacts are worth persisting: a restarted node that
 reloads its plans skips the cold analysis/binning/symbolic work for
 every structure it has ever served, and a node joining a cluster can
 start warm from a peer's directory.  The store follows the classic
-write-ahead-log design:
+write-ahead-log design.  Both of its files hold nothing but
+concatenated Plan IR frames (:func:`~repro.serve.plan_ir.encode_plan`):
+a frame already carries magic, version, length and a digest, so the
+store adds no envelope of its own.
 
-* :meth:`PlanStore.put` appends one record per populated plan to
-  ``wal.jsonl`` — a JSON line carrying the plan key, the planning mode,
-  and the base64-encoded Plan IR frame
-  (:func:`~repro.serve.plan_ir.encode_plan`).  Append-only writes are
-  crash-friendly: a die mid-write can only tear the *last* record.
-* :meth:`PlanStore.compact` folds WAL + previous snapshot into a fresh
-  ``snapshot.jsonl`` written to a temp file and published with
-  ``os.replace`` (atomic on POSIX), then truncates the WAL.
-* :meth:`PlanStore.load` replays snapshot then WAL (later records win
-  per key), **quarantining** anything that fails: unparseable lines and
-  records whose Plan IR digest mismatches go to ``quarantine.jsonl``
-  with a counter each, a torn final line is counted separately and
-  repaired via the shared :func:`~repro.eval.checkpoint.repair_torn_tail`
-  helper so the next append starts clean.  A damaged record never stops
-  a recovery — the plan it held is simply recomputed cold.
+* :meth:`PlanStore.put` appends one frame to ``wal.spir``.  Append-only
+  writes are crash-friendly: a die mid-write can only tear the *last*
+  frame.
+* :meth:`PlanStore.compact` copies the verified frames of snapshot +
+  WAL (the last per key) into a fresh ``snapshot.spir`` written to a
+  temp file and published with ``os.replace`` (atomic on POSIX), then
+  truncates the WAL.  It holds the store lock from replay to truncation,
+  so a concurrent :meth:`~PlanStore.put` lands in the snapshot or in the
+  emptied WAL, never in neither.
+* :meth:`PlanStore.load` replays snapshot then WAL (later frames win per
+  key), splitting each file with :func:`~repro.serve.plan_ir.split_frames`
+  and **quarantining** every damaged span to ``quarantine.jsonl`` with a
+  counter: a frame cut short at end-of-file (a write that died
+  mid-append) counts as torn, any other damage as corrupt.  The torn
+  tail is then truncated once, so the next append starts on a frame
+  boundary.  Damage never hides a later intact frame; the plan a damaged
+  span held is simply recomputed cold.
+
+Directories written in the older line-oriented layout (``wal.jsonl``)
+are ignored: the store is a cache, and losing it costs a cold start.
 
 Failure injection: the ``disk_corrupt`` / ``disk_torn_write`` sites of
 :mod:`repro.faults` are consulted once per append, so chaos runs can
-deterministically flip bits in (or truncate) chosen records and assert
+deterministically flip a byte in (or truncate) chosen frames and assert
 the load path detects and contains the damage.
 """
 
 from __future__ import annotations
 
-import base64
-import binascii
-import json
 import os
 import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..eval.checkpoint import iter_jsonl, repair_torn_tail
+from ..eval.checkpoint import append_jsonl
 from ..faults import FaultPlan, FaultScope, null_scope
 from .plan_cache import CachedPlan, PlanCache, PlanIntegrityError
-from .plan_ir import PlanIRError, decode_plan, encode_plan
+from .plan_ir import PlanIRError, decode_plan, split_frames
 
 __all__ = ["PlanStore", "PlanStoreLoad"]
 
@@ -50,14 +55,14 @@ __all__ = ["PlanStore", "PlanStoreLoad"]
 class PlanStoreLoad:
     """What one :meth:`PlanStore.load` recovered (and refused)."""
 
-    #: Surviving plans, last record per key winning, in key order.
+    #: Surviving plans, last frame per key winning, in key order.
     plans: List[CachedPlan] = field(default_factory=list)
-    #: Records that decoded cleanly (before per-key dedup).
+    #: Frames that decoded cleanly (before per-key dedup).
     replayed: int = 0
-    #: Records quarantined because they no longer verify (bit rot,
-    #: injected corruption, version mismatch).
+    #: Damaged spans that are not a torn tail (bit rot, injected
+    #: corruption, version mismatch, a torn write with frames after it).
     quarantined_corrupt: int = 0
-    #: Unterminated final lines (a write died mid-append).
+    #: Frames cut short at end-of-file (a write died mid-append).
     quarantined_torn: int = 0
 
     @property
@@ -71,15 +76,13 @@ class PlanStore:
     Parameters
     ----------
     directory:
-        Where ``wal.jsonl`` / ``snapshot.jsonl`` / ``quarantine.jsonl``
+        Where ``wal.spir`` / ``snapshot.spir`` / ``quarantine.jsonl``
         live; created if missing.
     name:
         Owner name the fault sites match on (a cluster node passes its
         node name, so ``disk_corrupt@node-1`` targets node 1's store).
     faults:
         Optional fault plan for the durability sites.
-    compact_every:
-        Auto-compact after this many WAL appends; ``None`` disables.
     """
 
     def __init__(
@@ -88,20 +91,17 @@ class PlanStore:
         *,
         name: str = "plan-store",
         faults: Optional[FaultPlan] = None,
-        compact_every: Optional[int] = None,
     ) -> None:
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
-        self.wal_path = os.path.join(directory, "wal.jsonl")
-        self.snapshot_path = os.path.join(directory, "snapshot.jsonl")
+        self.wal_path = os.path.join(directory, "wal.spir")
+        self.snapshot_path = os.path.join(directory, "snapshot.spir")
         self.quarantine_path = os.path.join(directory, "quarantine.jsonl")
         self.name = name
         self.scope: FaultScope = (
             faults.scope(name, "plan_store") if faults is not None else null_scope(name)
         )
-        self.compact_every = compact_every
         self._lock = threading.Lock()
-        self._since_compact = 0
         # Lifetime write-side counters.
         self.appended = 0
         self.corrupt_writes = 0
@@ -114,103 +114,76 @@ class PlanStore:
         self.last_load: Optional[PlanStoreLoad] = None
 
     # -- write path --------------------------------------------------------
-    def put(self, plan: CachedPlan, compat: str = "") -> None:
-        """Append one populated plan to the WAL (durable once returned).
+    def put(self, frame: bytes) -> None:
+        """Append one encoded plan frame to the WAL (durable once returned).
 
-        Consults the durability fault sites: a ``disk_corrupt`` hit
-        lands the record bit-flipped, a ``disk_torn_write`` hit leaves a
-        truncated, unterminated line — both exactly what the load path
-        must survive.
+        ``frame`` is :func:`~repro.serve.plan_ir.encode_plan`'s output.
+        Consults the durability fault sites: a ``disk_corrupt`` hit lands
+        the frame with one byte flipped, a ``disk_torn_write`` hit writes
+        only its first half — both exactly what the load path must
+        survive.
         """
-        frame = encode_plan(plan, compat or plan.compat or "")
-        record = {
-            "key": list(plan.key),
-            "mode": plan.mode,
-            "ir": base64.b64encode(frame).decode("ascii"),
-        }
-        line = json.dumps(record, sort_keys=True)
         corrupt = self.scope.disk_corrupt()
         torn = self.scope.disk_torn_write()
         with self._lock:
             self.appended += 1
-            # A prior torn append must not swallow this record: terminate
-            # any unfinished line first (the restart-path repair, applied
-            # eagerly so the WAL loses at most the torn record itself).
-            repair_torn_tail(self.wal_path)
-            with open(self.wal_path, "a", encoding="utf-8") as fh:
-                if torn:
-                    # The "process" dies mid-write: half a record, no
-                    # terminator.  Nothing after this append is assumed.
-                    self.torn_writes += 1
-                    fh.write(line[: max(1, len(line) // 2)])
-                elif corrupt:
-                    # Latent media error: one character of the base64
-                    # payload flips after the write "succeeded".
-                    self.corrupt_writes += 1
-                    mid = len(line) // 2
-                    flip = "A" if line[mid] != "A" else "B"
-                    fh.write(line[:mid] + flip + line[mid + 1:] + "\n")
-                else:
-                    fh.write(line + "\n")
-            self._since_compact += 1
-        if (
-            self.compact_every is not None
-            and not torn
-            and self._since_compact >= self.compact_every
-        ):
-            self.compact()
+            if torn:
+                # The "process" dies mid-write: half a frame.  Nothing
+                # after this append is assumed.
+                self.torn_writes += 1
+                frame = frame[: max(1, len(frame) // 2)]
+            elif corrupt:
+                # Latent media error: one payload byte flips after the
+                # write "succeeded".
+                self.corrupt_writes += 1
+                mid = len(frame) // 2
+                frame = frame[:mid] + bytes([frame[mid] ^ 0xFF]) + frame[mid + 1:]
+            with open(self.wal_path, "ab") as fh:
+                fh.write(frame)
 
     # -- read path ---------------------------------------------------------
     def load(self) -> PlanStoreLoad:
-        """Replay snapshot + WAL; quarantine damage; repair torn tails."""
-        result = PlanStoreLoad()
+        """Replay snapshot + WAL; quarantine damage; truncate a torn tail."""
         with self._lock:
-            survivors: Dict[Tuple[str, str], CachedPlan] = {}
-            for path in (self.snapshot_path, self.wal_path):
-                self._replay_file(path, survivors, result)
-                repair_torn_tail(path)
-            result.plans = [survivors[k] for k in sorted(survivors)]
+            result, _frames = self._replay()
         self.last_load = result
         return result
 
-    def _replay_file(
-        self,
-        path: str,
-        survivors: Dict[Tuple[str, str], CachedPlan],
-        result: PlanStoreLoad,
-    ) -> None:
-        tail = _unterminated_tail(path)
-
-        def bad_line(raw: str) -> None:
-            if tail is not None and raw == tail:
-                result.quarantined_torn += 1
-            else:
-                result.quarantined_corrupt += 1
-            self._quarantine(path, raw)
-
-        for entry in iter_jsonl(path, on_bad_line=bad_line):
-            raw_ir = entry.get("ir")
-            try:
-                if not isinstance(raw_ir, str):
-                    raise PlanIRError("record has no IR payload", reason="corrupt")
-                frame = base64.b64decode(raw_ir.encode("ascii"), validate=True)
-                plan, _compat = decode_plan(frame)
-            except (PlanIRError, binascii.Error, ValueError):
-                result.quarantined_corrupt += 1
-                self._quarantine(path, json.dumps(entry, sort_keys=True))
+    def _replay(self) -> Tuple[PlanStoreLoad, List[bytes]]:
+        """The load, plus each surviving plan's frame (store lock held)."""
+        result = PlanStoreLoad()
+        survivors: Dict[Tuple[str, ...], Tuple[CachedPlan, bytes]] = {}
+        for path in (self.snapshot_path, self.wal_path):
+            if not os.path.exists(path):
                 continue
-            result.replayed += 1
-            survivors[plan.key] = plan
-
-    def _quarantine(self, src: str, raw: str) -> None:
-        with open(self.quarantine_path, "a", encoding="utf-8") as fh:
-            fh.write(
-                json.dumps(
-                    {"source": os.path.basename(src), "record": raw},
-                    sort_keys=True,
+            with open(path, "rb") as fh:
+                data = fh.read()
+            source = os.path.basename(path)
+            torn_at = None
+            for kind, start, end in split_frames(data):
+                span = data[start:end]
+                if kind == "frame":
+                    try:
+                        plan, _compat = decode_plan(span)
+                    except PlanIRError:  # verified, but a malformed payload
+                        kind = "corrupt"
+                    else:
+                        result.replayed += 1
+                        survivors[plan.key] = (plan, span)
+                        continue
+                if kind == "torn":
+                    result.quarantined_torn += 1
+                    torn_at = start
+                else:
+                    result.quarantined_corrupt += 1
+                append_jsonl(
+                    self.quarantine_path, {"source": source, "record": span.hex()}
                 )
-                + "\n"
-            )
+            if torn_at is not None:
+                os.truncate(path, torn_at)
+        keys = sorted(survivors)
+        result.plans = [survivors[k][0] for k in keys]
+        return result, [survivors[k][1] for k in keys]
 
     # -- maintenance -------------------------------------------------------
     def compact(self) -> int:
@@ -221,27 +194,19 @@ class PlanStore:
         previous snapshot intact; the WAL is truncated only after the
         new snapshot is durable.
         """
-        load = self.load()
         with self._lock:
+            result, frames = self._replay()
             tmp = self.snapshot_path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                for plan in load.plans:
-                    record = {
-                        "key": list(plan.key),
-                        "mode": plan.mode,
-                        "ir": base64.b64encode(
-                            encode_plan(plan, plan.compat or "")
-                        ).decode("ascii"),
-                    }
-                    fh.write(json.dumps(record, sort_keys=True) + "\n")
+            with open(tmp, "wb") as fh:
+                fh.writelines(frames)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, self.snapshot_path)
-            with open(self.wal_path, "w", encoding="utf-8"):
-                pass  # truncate: every surviving record is in the snapshot
+            with open(self.wal_path, "wb"):
+                pass  # truncate: every surviving frame is in the snapshot
             self.snapshots += 1
-            self._since_compact = 0
-        return len(load.plans)
+        self.last_load = result
+        return len(result.plans)
 
     # -- warm restart ------------------------------------------------------
     def warm(self, cache: PlanCache, compat: str) -> int:
@@ -284,20 +249,3 @@ class PlanStore:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PlanStore({self.directory!r}, appended={self.appended})"
-
-
-def _unterminated_tail(path: str) -> Optional[str]:
-    """The stripped final line of ``path`` when it lacks a terminator.
-
-    Distinguishes a *torn* record (interrupted append — always the last
-    line, never newline-terminated) from mid-file corruption.
-    """
-    if not os.path.exists(path) or os.path.getsize(path) == 0:
-        return None
-    with open(path, "rb") as fh:
-        fh.seek(-1, os.SEEK_END)
-        if fh.read(1) == b"\n":
-            return None
-        fh.seek(0)
-        data = fh.read()
-    return data.rsplit(b"\n", 1)[-1].decode("utf-8", errors="replace").strip()

@@ -31,8 +31,8 @@ from ..matrices.csr import CSR
 from ..result import SpGEMMResult
 from .admission import BROWNOUT_MODES, BrownoutInfo
 from .metrics import MetricsRegistry
-from .plan_cache import PlanCache
-from .plan_ir import compat_key, plan_checksum
+from .plan_cache import CachedPlan, PlanCache
+from .plan_ir import compat_key, encode_plan, frame_checksum
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .plan_store import PlanStore
@@ -141,6 +141,16 @@ class SpGEMMService:
         ).inc(warmed)
         return warmed
 
+    def persist_plan(self, plan: CachedPlan) -> None:
+        """Stamp a freshly populated plan's identity and persist it: one
+        encode gives ``plan.checksum`` (the frame's digest) and the bytes
+        the durable store appends, when one is attached."""
+        plan.compat = self.compat
+        frame = encode_plan(plan)
+        plan.checksum = frame_checksum(frame)
+        if self.plan_store is not None:
+            self.plan_store.put(frame)
+
     # ------------------------------------------------------------------
     def context_for(self, a: CSR, b: CSR) -> MultiplyContext:
         """The shared exact-facts context of ``(A, B)``, value-keyed.
@@ -244,11 +254,8 @@ class SpGEMMService:
         )
         if not hit and plan.ready:
             # Stamp identity before anything persists or replicates it.
-            plan.compat = self.compat
-            plan.checksum = plan_checksum(plan)
+            self.persist_plan(plan)
             self.plans.note_populated(plan)
-            if self.plan_store is not None:
-                self.plan_store.put(plan)
 
         m = self.metrics
         m.counter("service.requests", "multiplies accepted by the core").inc()

@@ -7,12 +7,16 @@ the injected ``disk_corrupt`` / ``disk_torn_write`` fault sites; recovery
 must quarantine cleanly and never lose an earlier record.
 """
 
-import json
+import functools
 import os
+import sys
+import tempfile
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.eval.suite import MatrixCase
 from repro.faults import parse_fault_spec
@@ -45,6 +49,15 @@ def _cold_plan(a, b=None, svc=None):
     plan = svc.plans.peek((a.fingerprint(), b.fingerprint()))
     assert plan is not None and plan.ready
     return plan, svc
+
+
+@functools.lru_cache(maxsize=None)
+def _tiny_frames():
+    """Keys and frames of 24 distinct tiny plans."""
+    svc = SpGEMMService()
+    plans = [_cold_plan(gen.rmat(3, 4, seed=s), svc=svc)[0] for s in range(24)]
+    assert len({p.key for p in plans}) == len(plans)
+    return tuple(p.key for p in plans), tuple(encode_plan(p) for p in plans)
 
 
 # ---------------------------------------------------------------------------
@@ -154,26 +167,119 @@ def test_plan_store_compaction_is_atomic_and_lossless(tmp_path):
     # Repeated keys: the last record wins, compaction dedups.
     m = gen.rmat(6, 8, seed=1)
     svc.multiply(m, m)  # hit: no new WAL record
-    store.put(svc.plans.peek((m.fingerprint(), m.fingerprint())))
+    store.put(encode_plan(svc.plans.peek((m.fingerprint(), m.fingerprint()))))
     assert store.compact() == 3
 
 
-def test_wal_truncated_at_every_byte_boundary(tmp_path):
-    """Crash-mid-write: for every prefix of the last WAL record the load
-    must recover the first record, quarantine the tear, and repair the
-    tail so the next append starts clean."""
+class _HookedLock:
+    """A lock that runs ``hook`` (once) right after its next release."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.hook = None
+
+    def __enter__(self):
+        self._lock.acquire()
+        return self
+
+    def __exit__(self, *exc):
+        self._lock.release()
+        hook, self.hook = self.hook, None
+        if hook is not None:
+            hook()
+
+
+def test_put_during_compaction_is_not_lost(tmp_path):
+    """A put that lands the first time compaction lets go of the store
+    lock must survive: compaction may not drop a record it never saw."""
     d = str(tmp_path / "store")
     store = PlanStore(d)
     svc = SpGEMMService(plan_store=store)
-    # Tiny matrices keep the WAL lines short enough to sweep every byte.
-    for s in (1, 2):
-        m = gen.rmat(3, 4, seed=s)
+    m1, m2 = gen.rmat(6, 8, seed=1), gen.rmat(6, 8, seed=2)
+    svc.multiply(m1, m1)
+    store._lock = lock = _HookedLock()
+    lock.hook = lambda: svc.multiply(m2, m2)
+    assert store.compact() == 1
+    assert store.appended == 2
+    keys = {p.key for p in PlanStore(d).load().plans}
+    assert keys == {(m.fingerprint(), m.fingerprint()) for m in (m1, m2)}
+
+
+def test_puts_racing_compaction_all_survive(tmp_path):
+    """Four threads put while a fifth compacts in a loop; every frame
+    put must be in the reloaded store."""
+    keys, frames = _tiny_frames()
+    store = PlanStore(str(tmp_path / "store"))
+    putters = [
+        threading.Thread(target=lambda i=i: [store.put(f) for f in frames[i::4]])
+        for i in range(4)
+    ]
+
+    def compact_until_done():
+        while any(t.is_alive() for t in putters):
+            store.compact()
+
+    compactor = threading.Thread(target=compact_until_done)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in putters + [compactor]:
+            t.start()
+        for t in putters + [compactor]:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert store.appended == len(frames)
+    assert {p.key for p in PlanStore(store.directory).load().plans} == set(keys)
+
+
+def test_new_plans_build_the_payload_once(tmp_path, monkeypatch):
+    from repro.graph import incremental_multiply
+    from repro.graph.delta import random_delta
+    from repro.serve import plan_ir
+
+    real, calls = plan_ir._payload, []
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(plan_ir, "_payload", counting)
+    svc = SpGEMMService(plan_store=PlanStore(str(tmp_path / "store")))
+    a = gen.banded(80, 3, seed=13)
+    b = gen.random_uniform(a.cols, a.cols, 2.0, seed=6)
+    c_old = svc.multiply(a, b).c
+    # One encode stamps the checksum and feeds the store.
+    assert len(calls) == 1 and svc.plan_store.appended == 1
+    plan = svc.plans.peek((a.fingerprint(), b.fingerprint()))
+    assert plan.checksum == plan_checksum(plan)
+
+    calls.clear()
+    delta = random_delta(a, rng=np.random.default_rng(0), frac=0.05)
+    assert incremental_multiply(a, b, c_old, delta, service=svc).plan_patched
+    assert len(calls) == 1 and svc.plan_store.appended == 2
+
+
+def test_wal_truncated_at_every_byte_boundary(tmp_path):
+    """Crash-mid-write: for every prefix of the last WAL frame the load
+    must recover the first frame, quarantine the tear, and truncate the
+    tail so the next append lands on a frame boundary."""
+    d = str(tmp_path / "store")
+    store = PlanStore(d)
+    svc = SpGEMMService(plan_store=store)
+    # Tiny matrices keep the frames short enough to sweep every byte.
+    mats = [gen.rmat(3, 4, seed=s) for s in (1, 2, 3)]
+    for m in mats:
         svc.multiply(m, m)
+    frames = [
+        encode_plan(svc.plans.peek((m.fingerprint(), m.fingerprint())))
+        for m in mats
+    ]
     with open(store.wal_path, "rb") as fh:
-        full = fh.read()
-    head, last = full[:-1].rsplit(b"\n", 1)
-    head += b"\n"
-    assert head.count(b"\n") == 1 and full == head + last + b"\n"
+        assert fh.read() == b"".join(frames)
+    head, last, appended = frames
+    appended_key = (mats[2].fingerprint(), mats[2].fingerprint())
 
     for cut in range(len(last) + 1):
         with open(store.wal_path, "wb") as fh:
@@ -183,10 +289,53 @@ def test_wal_truncated_at_every_byte_boundary(tmp_path):
         assert len(load.plans) == (1 if torn or cut == 0 else 2), cut
         assert load.quarantined_torn == (1 if torn else 0), cut
         assert load.quarantined_corrupt == 0, cut
-        # The tail is terminated: the next append cannot glue onto it.
-        with open(store.wal_path, "rb") as fh:
-            data = fh.read()
-        assert data.endswith(b"\n")
+        # The tear is gone: an append after the load reloads whole.
+        PlanStore(d).put(appended)
+        reload = PlanStore(d).load()
+        assert reload.quarantined == 0, cut
+        assert appended_key in {p.key for p in reload.plans}, cut
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_wal_damage_never_hides_an_intact_frame(data):
+    """One damage in a 3-frame WAL — truncation at byte k, a byte flip at
+    k, or a torn fragment between frames — loses only the frame it hits;
+    only tail damage counts as torn, and the load never raises."""
+    keys, frames = (x[:3] for x in _tiny_frames())
+    wal = b"".join(frames)
+    ends = np.cumsum([len(f) for f in frames])
+    damage = data.draw(st.sampled_from(["truncate", "flip", "fragment"]))
+    if damage == "truncate":
+        k = data.draw(st.integers(0, len(wal) - 1))
+        blob = wal[:k]
+        intact = [i for i in range(3) if ends[i] <= k]
+        hit_tail = True
+        damaged = k not in (0, *ends)  # a cut on a boundary leaves none
+    elif damage == "flip":
+        k = data.draw(st.integers(0, len(wal) - 1))
+        blob = bytearray(wal)
+        blob[k] ^= data.draw(st.integers(1, 255))
+        hit = int(np.searchsorted(ends, k, side="right"))
+        intact = [i for i in range(3) if i != hit]
+        hit_tail, damaged = hit == 2, True
+    else:
+        at = int(ends[data.draw(st.integers(0, 1))])
+        src = frames[data.draw(st.integers(0, 2))]
+        fragment = src[: data.draw(st.integers(1, len(src) - 1))]
+        blob = wal[:at] + fragment + wal[at:]
+        intact = [0, 1, 2]
+        hit_tail, damaged = False, True
+
+    with tempfile.TemporaryDirectory() as d:
+        store = PlanStore(d)
+        with open(store.wal_path, "wb") as fh:
+            fh.write(bytes(blob))
+        load = store.load()
+    assert {keys[i] for i in intact} <= {p.key for p in load.plans}
+    if not hit_tail:
+        assert load.quarantined_torn == 0
+    assert (load.quarantined > 0) == damaged
 
 
 def test_fault_sites_corrupt_and_tear_records(tmp_path):
@@ -216,9 +365,9 @@ def test_torn_write_does_not_swallow_next_append(tmp_path):
     for s in (1, 2):
         m = gen.rmat(6, 8, seed=s)
         svc.multiply(m, m)
-    # Record 1 was torn; record 2 must survive on its own line.  The
-    # tear was tail-repaired before append 2, so at load time it reads
-    # as a complete-but-unparsable line — quarantined as corrupt.
+    # Frame 1 was torn; frame 2 must survive right after the fragment.
+    # With a frame after it the tear is not a tail, so it is quarantined
+    # as corrupt.
     load = PlanStore(d).load()
     assert len(load.plans) == 1 and load.quarantined == 1
 
@@ -227,12 +376,11 @@ def test_warm_skips_incompatible_and_rejects_damaged(tmp_path):
     d = str(tmp_path / "store")
     store = PlanStore(d)
     plan, svc = _cold_plan(gen.rmat(6, 8, seed=9))
-    store.put(plan)
+    store.put(encode_plan(plan))
     # A foreign-compat record: stored fine, skipped silently at warm.
     foreign, _ = _cold_plan(gen.rmat(5, 8, seed=10))
     foreign.compat = "other-device|params"
-    foreign.checksum = plan_checksum(foreign)
-    store.put(foreign)
+    store.put(encode_plan(foreign))
 
     cache = PlanCache()
     assert store.warm(cache, compat=plan.compat) == 1
