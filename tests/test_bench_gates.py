@@ -1,6 +1,6 @@
 """Smoke gates on the CLI: ``serve-bench`` / ``cluster-bench`` reports,
 the small ``bench`` sweep under injected faults, and ``repro check``
-against a planted engine bug.
+against planted engine and graph-workload bugs.
 
 Each bench report comes from :mod:`bench_configs` through the session-wide
 ``bench_report`` fixture, so a configuration that is also pinned by a
@@ -15,13 +15,14 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
+import numpy as np
 import pytest
 
 from bench_configs import run_config
 from repro.cli import main
 from repro.cluster import bench as cluster_bench
 from repro.eval import small_corpus
-from repro.graph import masked
+from repro.graph import masked, triangle_count
 from repro.matrices.csr import CSR
 
 pytestmark = pytest.mark.smoke
@@ -72,6 +73,13 @@ class TestServeGates:
         assert r["fallbacks"] == r["speculative_cold"]
         _correct(r)
 
+    def test_malformed_fault_spec_names_the_rule(self):
+        code, _, err = _cli(
+            ["serve-bench", "--duration", "0.1", "--faults", "alloc:p=2"]
+        )
+        assert code == 2
+        assert "alloc:p=2" in err
+
 
 class TestGraphWorkloadGates:
     def test_masked_under_faults(self, report):
@@ -94,6 +102,43 @@ class TestGraphWorkloadGates:
         s = r["workload_stats"]
         assert 0.0 < s["incremental_recompute_ratio"] < 1.0, s
         assert s["incremental_plans_patched"] > 0, s
+
+    def test_triangle_count_matches_dense_reference(self):
+        rng = np.random.default_rng(11)
+        for n, p in ((30, 0.2), (60, 0.1), (90, 0.05)):
+            d = np.triu((rng.random((n, n)) < p), 1).astype(float)
+            d = d + d.T
+            r, c = np.nonzero(d)
+            a = CSR.from_coo(r, c, d[r, c], (n, n))
+            want = int(round(np.trace(d @ d @ d) / 6.0))
+            assert triangle_count(a) == want, (n, p)
+            assert triangle_count(a, mode="execute") == want, (n, p)
+
+    @pytest.mark.parametrize(
+        "mutation", ["mask-overprune", "chain-skip-last", "delta-narrow-blast"]
+    )
+    def test_planted_graph_bug_is_caught(self, mutation):
+        # Each graph oracle must catch its own planted bug.
+        code, _, _ = _cli([
+            "check", "--seed", "3", "--cases", "6", "--no-laws",
+            "--mutate", mutation,
+        ])
+        assert code == 1, f"mutation {mutation} not caught"
+
+    def test_mask_drop_fault_is_caught_and_minimized(self, tmp_path):
+        out, art = tmp_path / "graph-check.json", tmp_path / "artifacts"
+        code, _, _ = _cli([
+            "check", "--seed", "3", "--cases", "6", "--no-laws",
+            "--faults", "mask_drop@*", "--artifact-dir", str(art),
+            "--json", str(out),
+        ])
+        assert code == 1
+        r = json.loads(out.read_text())
+        assert r["injections"] > 0, r
+        checks = {f["check"] for v in r["failures"] for f in v["failures"]}
+        assert "differential:masked" in checks, checks
+        assert r["artifacts"], "ddmin wrote no reproducer"
+        assert list(art.glob("*/repro.json"))
 
 
 class TestClusterGates:
