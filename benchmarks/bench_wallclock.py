@@ -29,7 +29,9 @@ With ``--baseline`` the run compares its batched execute wall-clock
 against the committed baseline and exits 1 when it regressed more than
 ``--max-regress`` (the CI regression guard).  Ratios (speedups) are
 machine-independent; absolute seconds are only comparable on similar
-hardware — the guard therefore uses a generous factor.
+hardware — the guard therefore uses a generous factor.  The same guard
+then checks the speedup floors of :func:`speedup_floor_failures` and
+exits 1 when one is missed.
 
 With ``--serve-out`` the run additionally measures the serving cluster's
 host wall-clock (`repro.cluster`, a short 2-node fleet replay) and merges
@@ -190,6 +192,41 @@ def bench_suite(make_cases, workers: int) -> Dict[str, object]:
     entry["parallel_s"] = par
     entry["speedup"] = seq / par if par > 0 else float("inf")
     return entry
+
+
+def speedup_floor_failures(report: Dict[str, object]) -> List[str]:
+    """The speedup floors ``report`` misses, one message each.
+
+    The batched execute engine must stay at least 5x the scalar row
+    loop, sampled estimation must beat exact analysis, and the suite
+    pool must beat the sequential sweep by more than 1.2x.  A
+    single-core run skips the pool comparison; it passes only when the
+    entry says so explicitly (``"skipped": "single-core"`` with one
+    effective worker) instead of reporting noise.
+    """
+    failures = []
+    ex = report["execute"]
+    if not ex["speedup"] >= 5.0:
+        failures.append(f"execute speedup {ex['speedup']:.2f}x < 5x")
+    es = report["estimate"]
+    if not es["speedup"] > 1.0:
+        failures.append(
+            f"sampled estimation {es['speedup']:.2f}x must beat exact analysis"
+        )
+    su = report["suite"]
+    if su.get("skipped"):
+        if su["skipped"] != "single-core" or su["effective_workers"] != 1:
+            failures.append(
+                f"suite pool leg skipped ({su['skipped']!r}, "
+                f"{su['effective_workers']} workers); only a single-core "
+                "run may skip it"
+            )
+    elif not su["speedup"] > 1.2:
+        failures.append(
+            f"suite pool speedup {su['speedup']:.2f}x < 1.2x "
+            f"({su['effective_workers']} workers)"
+        )
+    return failures
 
 
 def bench_cluster() -> Dict[str, object]:
@@ -380,6 +417,11 @@ def main(argv: List[str] | None = None) -> int:
                 print("error: sampled estimation wall-clock regressed "
                       "beyond the allowed factor", file=sys.stderr)
                 return 1
+        failures = speedup_floor_failures(report)
+        for message in failures:
+            print(f"error: {message}", file=sys.stderr)
+        if failures:
+            return 1
     return serve_rc
 
 

@@ -17,7 +17,7 @@ always use the dense accumulator, which produces ordered output for free.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, Tuple
 
 import numpy as np
@@ -115,6 +115,13 @@ class PassResult:
     group_sizes: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     #: Mean lane utilisation across blocks (diagnostics).
     mean_utilization: float = 1.0
+
+    @cached_property
+    def mean_group_size(self) -> float:
+        """Mean of ``group_sizes`` (0 with no blocks).  Computed once per
+        record, so plan hits reusing a cached record skip it; not a field,
+        so a ``replace`` copy recomputes it and equality ignores it."""
+        return float(self.group_sizes.mean()) if self.group_sizes.size else 0.0
 
 
 def run_pass(

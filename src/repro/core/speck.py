@@ -443,9 +443,7 @@ class SpeckEngine:
             accum_blocks_symbolic=sym.accum_blocks,
             accum_blocks_numeric=num.accum_blocks,
             global_hash_blocks=sym.global_hash_blocks + num.global_hash_blocks,
-            mean_group_size=(
-                float(num.group_sizes.mean()) if num.group_sizes.size else 0.0
-            ),
+            mean_group_size=num.mean_group_size,
             mean_utilization=num.mean_utilization,
         )
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import threading
+from bisect import bisect_left
 from typing import Dict, List, Optional
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
@@ -100,15 +101,7 @@ class Histogram:
         if not math.isfinite(value):
             raise ValueError("histogram values must be finite")
         v = max(0.0, float(value))
-        # binary search for the first bound >= v
-        lo, hi = 0, len(self._bounds)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._bounds[mid] >= v:
-                hi = mid
-            else:
-                lo = mid + 1
-        self._counts[lo] += 1
+        self._counts[bisect_left(self._bounds, v)] += 1  # first bound >= v
         self.count += 1
         self.total += v
         self.min = v if self.min is None else min(self.min, v)

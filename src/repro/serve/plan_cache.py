@@ -16,7 +16,8 @@ Two pieces:
   pass record, the LB decisions).
 * :class:`PlanCache` — an LRU over plans with a *byte* budget (plans hold
   several per-row arrays; a 1M-row operand's plan is ~50 MB), thread-safe,
-  with hit/miss/eviction counters.
+  with hit/miss/eviction counters.  Its byte total is kept running, so no
+  per-request step costs O(entries).
 """
 
 from __future__ import annotations
@@ -112,6 +113,14 @@ class CachedPlan:
     #: Plan IR payload digest stamped at population / decode time;
     #: verified on :meth:`PlanCache.adopt`.
     checksum: Optional[str] = None
+    #: The digest of the frame this plan was decoded from, already
+    #: verified against the payload by the decoder.  While it equals
+    #: ``checksum``, :meth:`PlanCache.adopt` need not rebuild the payload.
+    #: Not an init argument, so ``dataclasses.replace`` (how peers copy a
+    #: replica) resets it and a replica is always content-checked.
+    verified_checksum: Optional[str] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def populate(
         self,
@@ -195,6 +204,10 @@ class PlanCache:
     ``nbytes()`` of ready plans exceeds the budget, least-recently-used
     plans are evicted; a single plan larger than the whole budget is
     served but not retained.
+
+    The byte sum is a running total: each resident key's size is taken
+    once, when it becomes resident or is re-accounted after population,
+    so a hit, an eviction and a gauge read cost O(1) in the entry count.
     """
 
     def __init__(self, max_bytes: int = 256 * 1024 * 1024) -> None:
@@ -202,6 +215,9 @@ class PlanCache:
             raise ValueError("plan cache budget must be positive")
         self.max_bytes = int(max_bytes)
         self._plans: "OrderedDict[Tuple[str, ...], CachedPlan]" = OrderedDict()
+        #: Accounted ``nbytes()`` per resident key, and their sum.
+        self._sizes: Dict[Tuple[str, ...], int] = {}
+        self._bytes = 0
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -257,8 +273,7 @@ class PlanCache:
                     self.refines += 1
                     self.misses += 1
                     plan = CachedPlan(key=key, mode=mode)
-                    self._plans[key] = plan
-                    self._plans.move_to_end(key)
+                    self._put_locked(key, plan, 0)
                     return plan, False
                 self._plans.move_to_end(key)
                 plan.hits += 1
@@ -272,7 +287,7 @@ class PlanCache:
                     self.budget_rejects += 1
                     return CachedPlan(key=key, mode=mode), False
                 plan = CachedPlan(key=key)
-                self._plans[key] = plan
+                self._put_locked(key, plan, 0)
             plan.mode = mode
             return plan, False
 
@@ -280,13 +295,18 @@ class PlanCache:
         """Re-account a plan after the engine populated it (its byte size
         is only known now) and enforce the budget."""
         with self._lock:
-            if plan.key in self._plans:
-                self._plans.move_to_end(plan.key)
+            resident = self._plans.get(plan.key)
+            if resident is not None:
+                # The resident object may not be ``plan`` (refined or
+                # re-registered meanwhile); the total follows what stays.
+                self._put_locked(plan.key, resident, resident.nbytes())
                 if plan.ready:
                     self.inserts += 1
-            elif plan.ready and plan.nbytes() <= self.max_bytes:
-                self._plans[plan.key] = plan
-                self.inserts += 1
+            elif plan.ready:
+                nbytes = plan.nbytes()
+                if nbytes <= self.max_bytes:
+                    self._put_locked(plan.key, plan, nbytes)
+                    self.inserts += 1
             self._evict_locked()
 
     # ------------------------------------------------------------------
@@ -316,7 +336,9 @@ class PlanCache:
         checksum that no longer matches its content, adoption raises
         :class:`PlanIntegrityError` and the rejection is counted in the
         cache stats.  Plans without a checksum (built outside a service)
-        skip content verification.
+        skip content verification, and so do plans whose checksum is the
+        digest of the frame they were just decoded from (the decoder
+        verified it against the very payload a rebuild would produce).
         """
         if not plan.ready:
             raise ValueError("only populated plans can be adopted")
@@ -332,7 +354,7 @@ class PlanCache:
                 f"service's {expected_compat!r}",
                 reason="compat",
             )
-        if plan.checksum is not None:
+        if plan.checksum is not None and plan.checksum != plan.verified_checksum:
             from .plan_ir import plan_checksum  # local: avoids an import cycle
 
             if plan_checksum(plan) != plan.checksum:
@@ -346,28 +368,35 @@ class PlanCache:
             existing = self._plans.get(plan.key)
             if existing is not None and existing.ready:
                 return existing
-            self._plans[plan.key] = plan
-            self._plans.move_to_end(plan.key)
+            self._put_locked(plan.key, plan, plan.nbytes())
             self.inserts += 1
             self._evict_locked()
             return plan
 
+    def _put_locked(
+        self, key: Tuple[str, ...], plan: CachedPlan, nbytes: int
+    ) -> None:
+        """Make ``plan`` the most recent resident under ``key``, accounted
+        at ``nbytes``."""
+        self._bytes += nbytes - self._sizes.get(key, 0)
+        self._sizes[key] = nbytes
+        self._plans[key] = plan
+        self._plans.move_to_end(key)
+
     def _evict_locked(self) -> None:
-        while self._bytes_locked() > self.max_bytes and self._plans:
+        while self._bytes > self.max_bytes and self._plans:
             key, victim = next(iter(self._plans.items()))
             if len(self._plans) == 1 and not victim.ready:
                 break  # an in-flight cold plan holds no arrays yet
             del self._plans[key]
+            self._bytes -= self._sizes.pop(key)
             self.evictions += 1
-
-    def _bytes_locked(self) -> int:
-        return sum(p.nbytes() for p in self._plans.values())
 
     # ------------------------------------------------------------------
     @property
     def bytes_cached(self) -> int:
         with self._lock:
-            return self._bytes_locked()
+            return self._bytes
 
     def __len__(self) -> int:
         with self._lock:
@@ -380,8 +409,15 @@ class PlanCache:
     def clear(self) -> None:
         with self._lock:
             self._plans.clear()
+            self._sizes.clear()
+            self._bytes = 0
 
     def stats(self) -> PlanCacheStats:
+        """A snapshot of the counters, per-key hits sorted hottest first.
+
+        The sort is O(keys), so it is taken for reports and the cluster's
+        hit roll-up, never per request.
+        """
         with self._lock:
             per_key = dict(
                 sorted(self._key_hits.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -393,7 +429,7 @@ class PlanCache:
                 inserts=self.inserts,
                 rejects=self.rejects,
                 refines=self.refines,
-                bytes_cached=self._bytes_locked(),
+                bytes_cached=self._bytes,
                 entries=len(self._plans),
                 per_key_hits=per_key,
                 extra=(

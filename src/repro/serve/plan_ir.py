@@ -68,6 +68,7 @@ __all__ = [
     "decode_record",
     "encode_plan",
     "decode_plan",
+    "decode_verified_plan",
     "plan_checksum",
 ]
 
@@ -379,8 +380,22 @@ def decode_plan(data: bytes) -> Tuple[CachedPlan, str]:
     Raises :class:`PlanIRError` (see its ``reason`` taxonomy) on any
     defect; never returns a partially-reconstructed plan.
     """
-    payload = decode_frame(data)
+    return _decode_payload(decode_frame(data), frame_checksum(data))
 
+
+def decode_verified_plan(frame: bytes) -> Tuple[CachedPlan, str]:
+    """:func:`decode_plan` for one whole frame that :func:`split_frames`
+    has already verified: the digest is not computed a second time."""
+    return _decode_payload(frame[_HEADER_STRUCT.size:], frame_checksum(frame))
+
+
+def _decode_payload(payload: bytes, checksum: str) -> Tuple[CachedPlan, str]:
+    """Build the plan a verified frame's ``payload`` describes.
+
+    ``checksum`` is the frame's verified digest; it becomes both the
+    plan's ``checksum`` and its ``verified_checksum``, which lets
+    :meth:`PlanCache.adopt` skip rebuilding the payload to check it.
+    """
     try:
         (head_len,) = struct.unpack_from(">I", payload)
         header = json.loads(payload[4 : 4 + head_len].decode("utf-8"))
@@ -420,5 +435,5 @@ def decode_plan(data: bytes) -> Tuple[CachedPlan, str]:
     except Exception as exc:  # malformed-but-checksummed payload
         raise PlanIRError(f"malformed payload: {exc}", reason="corrupt") from exc
     plan.compat = compat
-    plan.checksum = frame_checksum(data)  # verified by decode_frame
+    plan.checksum = plan.verified_checksum = checksum
     return plan, compat

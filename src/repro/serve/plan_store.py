@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Tuple
 from ..eval.checkpoint import append_jsonl
 from ..faults import FaultPlan, FaultScope, null_scope
 from .plan_cache import CachedPlan, PlanCache, PlanIntegrityError
-from .plan_ir import PlanIRError, decode_plan, split_frames
+from .plan_ir import PlanIRError, decode_verified_plan, split_frames
 
 __all__ = ["PlanStore", "PlanStoreLoad"]
 
@@ -164,7 +164,7 @@ class PlanStore:
                 span = data[start:end]
                 if kind == "frame":
                     try:
-                        plan, _compat = decode_plan(span)
+                        plan, _compat = decode_verified_plan(span)
                     except PlanIRError:  # verified, but a malformed payload
                         kind = "corrupt"
                     else:
@@ -215,7 +215,9 @@ class PlanStore:
         Returns the number of plans adopted.  Incompatible plans (a
         different device or params — e.g. a heterogeneous fleet sharing
         a directory tree) are skipped silently; plans that fail the
-        adopt-time integrity check are counted as rejected.
+        adopt-time integrity check are counted as rejected.  Each stored
+        frame's digest is checked once, by the load's ``split_frames``;
+        decode and adopt rely on that check instead of repeating it.
         """
         load = self.load()
         adopted = 0

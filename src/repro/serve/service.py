@@ -312,11 +312,10 @@ class SpGEMMService:
                     "service.retry_s",
                     "seconds charged to wasted attempts and backoff",
                 ).observe(retry_s)
-        stats = self.plans.stats()
         m.gauge("service.cache_bytes", "bytes held by the plan cache").set(
-            stats.bytes_cached
+            self.plans.bytes_cached
         )
-        m.gauge("service.cache_entries", "plans cached").set(stats.entries)
+        m.gauge("service.cache_entries", "plans cached").set(len(self.plans))
         return res
 
     # ------------------------------------------------------------------

@@ -20,6 +20,11 @@ and then hit once; some runs carry a ``Trace``, some run ``execute``.
 :data:`bench_configs.GOLDENS`; a fresh run must reproduce it byte for
 byte.
 
+``tests/golden/check_seed0.jsonl`` holds the ``--checkpoint`` log of
+``repro check --seed 0`` (100 fuzzed cases through the differential
+oracle and the metamorphic laws): one verdict per case, with its
+product count and any failure.
+
 An intentional behaviour change regenerates all of them with::
 
     PYTHONPATH=src python tests/test_golden.py --update
@@ -33,11 +38,14 @@ import hashlib
 import json
 import sys
 import tempfile
+from contextlib import redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
 
 from bench_configs import AFTER, GOLDENS, golden_path, run_config
+from repro.cli import main as cli_main
 from repro.core.context import MultiplyContext
 from repro.core.params import DEFAULT_PARAMS
 from repro.core.speck import SpeckEngine
@@ -52,6 +60,7 @@ from repro.serve.plan_cache import CachedPlan
 
 GOLDEN = Path(__file__).parent / "golden" / "suite_records.sha256"
 ENGINE_GOLDEN = Path(__file__).parent / "golden" / "engine_paths.sha256"
+CHECK_GOLDEN = Path(__file__).parent / "golden" / "check_seed0.jsonl"
 CORPORA = {"small_corpus": small_corpus, "full_corpus": full_corpus}
 
 #: Fault specs of the engine-path grid ("" runs clean).  The
@@ -172,6 +181,16 @@ def engine_digests() -> dict:
     return out
 
 
+def check_log() -> str:
+    """The ``--checkpoint`` JSONL of ``repro check --seed 0``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "check.jsonl"
+        with redirect_stdout(StringIO()):
+            code = cli_main(["check", "--seed", "0", "--checkpoint", str(path)])
+        assert code == 0, f"repro check --seed 0 exited {code}"
+        return path.read_text(encoding="utf-8")
+
+
 def _golden(path: Path = GOLDEN) -> dict:
     out = {}
     for line in path.read_text().splitlines():
@@ -188,6 +207,10 @@ def test_suite_records_match_golden(corpus):
 
 def test_engine_paths_match_golden():
     assert engine_digests() == _golden(ENGINE_GOLDEN)
+
+
+def test_check_seed0_matches_golden():
+    assert check_log() == CHECK_GOLDEN.read_text(encoding="utf-8")
 
 
 @pytest.mark.smoke
@@ -207,6 +230,8 @@ if __name__ == "__main__":
     lines = [f"{digest}  {name}" for name, digest in engine_digests().items()]
     ENGINE_GOLDEN.write_text("\n".join(lines) + "\n")
     print(ENGINE_GOLDEN.read_text(), end="")
+    CHECK_GOLDEN.write_text(check_log(), encoding="utf-8")
+    print(f"wrote {CHECK_GOLDEN}")
     with tempfile.TemporaryDirectory() as stores:
         for name in GOLDENS:
             assert not AFTER.get(name), "a golden run must not need another"

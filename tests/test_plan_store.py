@@ -134,6 +134,76 @@ def test_adopt_rejects_compat_mismatch():
     assert cache.stats().rejects == 1
 
 
+def test_warm_verifies_each_stored_frame_once(tmp_path, monkeypatch):
+    """A warm checks each frame's digest once (``split_frames``): the
+    decode does not hash it again and adopt does not rebuild the payload."""
+    from repro.serve import plan_ir
+
+    keys, frames = _tiny_frames()
+    store = PlanStore(str(tmp_path))
+    for frame in frames[:4]:
+        store.put(frame)
+    digests, rebuilds = [], []
+    frame_end = plan_ir._frame_end
+    monkeypatch.setattr(
+        plan_ir, "_frame_end",
+        lambda *a: digests.append(1) or frame_end(*a),
+    )
+    monkeypatch.setattr(
+        plan_ir, "plan_checksum", lambda *a: rebuilds.append(1) or "x" * 32
+    )
+    cache = PlanCache()
+    svc = SpGEMMService()
+    assert store.warm(cache, svc.compat) == 4
+    assert len(digests) == 4 and rebuilds == []
+    assert sorted(cache._plans) == sorted(keys[:4])
+
+
+def test_flipped_payload_byte_is_quarantined_at_load(tmp_path):
+    keys, frames = _tiny_frames()
+    store = PlanStore(str(tmp_path))
+    store.put(frames[0])
+    damaged = bytearray(frames[1])
+    damaged[len(damaged) - 5] ^= 0x01  # one bit of the array payload
+    store.put(bytes(damaged))
+    store.put(frames[2])
+    load = store.load()
+    assert load.quarantined_corrupt == 1 and load.quarantined_torn == 0
+    assert sorted(p.key for p in load.plans) == sorted([keys[0], keys[2]])
+    cache = PlanCache()
+    assert store.warm(cache, SpGEMMService().compat) == 2
+    assert keys[1] not in cache
+
+
+def test_drifted_replica_of_a_stored_plan_is_rejected_at_adopt(tmp_path):
+    """A plan decoded from a verified frame skips the payload rebuild, but
+    a peer replica of it (``dataclasses.replace``) is content-checked."""
+    from dataclasses import replace
+
+    keys, frames = _tiny_frames()
+    store = PlanStore(str(tmp_path))
+    store.put(frames[0])
+    (stored,) = store.load().plans
+    assert stored.verified_checksum == stored.checksum
+    rows = stored.c_row_nnz.copy()
+    rows[0] += 1
+    replica = replace(stored, c_row_nnz=rows, hits=0)
+    assert replica.verified_checksum is None
+    cache = PlanCache()
+    with pytest.raises(PlanIntegrityError) as exc:
+        cache.adopt(replica, expected_compat=stored.compat)
+    assert exc.value.reason == "checksum"
+    assert cache.stats().rejects == 1 and keys[0] not in cache
+    # A stamped checksum that no longer names the verified frame is
+    # checked in full as well.
+    stored.checksum = "0" * 32
+    with pytest.raises(PlanIntegrityError):
+        cache.adopt(stored, expected_compat=stored.compat)
+    # The untouched stored plan is adopted.
+    intact = store.load().plans[0]
+    assert cache.adopt(intact, expected_compat=intact.compat) is intact
+
+
 # ---------------------------------------------------------------------------
 # PlanStore: WAL, snapshots, quarantine
 # ---------------------------------------------------------------------------

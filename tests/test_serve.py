@@ -219,6 +219,36 @@ class TestMetrics:
         assert snap["min"] <= snap["p50"] <= snap["p95"] <= snap["p99"] <= snap["max"]
         assert snap["p50"] == pytest.approx(5e-3, rel=0.25)
 
+    def test_histogram_buckets_match_the_linear_search(self):
+        """``observe`` buckets every value where the hand-written binary
+        search it replaced did: at the first bound >= the value."""
+
+        def old_bucket(bounds, v):
+            lo, hi = 0, len(bounds)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if bounds[mid] >= v:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            return lo
+
+        h = Histogram("lat", "help", lo=1e-4, hi=1.0, growth=1.5)
+        bounds = list(h._bounds)
+        values = [0.0, -1.0, 1e-9, 1e-4 / 2, 2.0, 1e6]
+        values += bounds
+        values += [(x + y) / 2 for x, y in zip(bounds, bounds[1:])]
+        values += [np.nextafter(b, np.inf) for b in bounds]
+        for v in values:
+            before = list(h._counts)
+            h.observe(float(v))
+            changed = [i for i, (x, y) in enumerate(zip(before, h._counts)) if x != y]
+            assert changed == [old_bucket(bounds, max(0.0, float(v)))], v
+        # 0, the clamped negative, two values below lo, and lo itself
+        assert h._counts[0] == 5
+        # two values above hi, and the one just past it
+        assert h._counts[-1] == 3
+
     def test_histogram_rejects_non_finite(self):
         h = Histogram("lat", "help")
         with pytest.raises(ValueError):
