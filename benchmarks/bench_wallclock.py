@@ -1,14 +1,17 @@
 #!/usr/bin/env python
 """Wall-clock benchmark of the repo's host-side hot paths.
 
-Measures three things over the CI suite subset (``small_corpus``) and
-writes them to ``BENCH_core.json``:
+Measures these over the CI suite subset (``small_corpus``) and writes
+them to ``BENCH_core.json``:
 
 * **execute path** — ``mode="execute"`` accumulator wall-clock, scalar
   row loop versus the batched engine (`repro.core.batch_execute`), plus
   their speedup ratio;
 * **model path** — the full cost-model pipeline (`speck_multiply`,
   ``mode="model"``) per sweep;
+* **cold pass** — ``run_pass`` on the symbolic and numeric plans of the
+  serve-churn operands (median and quartiles over repeated sweeps), the
+  cost model's largest host cost on a cold plan;
 * **suite path** — `run_suite` end to end, sequentially and on the
   persistent shared-memory worker pool.  The requested worker count is
   clamped to the CPU count and reported as ``effective_workers``; on a
@@ -46,6 +49,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import time
 from typing import Dict, List
@@ -162,6 +166,71 @@ def bench_estimate(cases, repeats: int) -> Dict[str, object]:
         "analyze_s": analyze_s,
         "speedup": analyze_s / estimate_s if estimate_s > 0 else float("inf"),
         "cases": len(prepared),
+    }
+
+
+def _churn_operands(n: int = 32):
+    """The serve-churn operand mix: ``n`` square generator operands
+    cycling five families, sizes spread over a range (the slots of the
+    two-clock benchmark's ``serve-churn`` workload)."""
+    from repro.matrices import generators as gen
+
+    out = []
+    for i in range(n):
+        k = i // 5
+        family, args = [
+            ("rmat", (7 + k % 2, 4 + k % 5)),
+            ("random_uniform", (200 + 50 * k, 200 + 50 * k, 4.0 + k % 7)),
+            ("banded", (300 + 100 * k, 2 + k % 7)),
+            ("circuit", (300 + 100 * k,)),
+            ("skew_single", (300 + 80 * k, 4, 60 + 20 * k)),
+        ][i % 5]
+        out.append(getattr(gen, family)(*args, seed=1000 + i))
+    return out
+
+
+def bench_cold_pass(repeats: int) -> Dict[str, object]:
+    """``run_pass`` wall-clock on the plans of a cold exact multiply.
+
+    One sweep prices the symbolic and the numeric pass of each
+    serve-churn operand squared, on the plans the engine's exact path
+    builds.  Plans hold a few hundred rows, so a pass costs its fixed
+    run of numpy calls rather than its data.  Reports the median and
+    quartiles of ``max(repeats, 15)`` samples, each the best of three
+    sweeps.
+    """
+    from repro.core.global_lb import numeric_inputs, plan_stage, symbolic_inputs
+    from repro.core.passes import run_pass
+
+    configs = build_configs(TITAN_V)
+    passes = []
+    for a in _churn_operands():
+        ctx = MultiplyContext(a, a)
+        inputs = {
+            "symbolic": symbolic_inputs(ctx.analysis),
+            "numeric": numeric_inputs(ctx.c_row_nnz, DEFAULT_PARAMS),
+        }
+        for stage, stage_inputs in inputs.items():
+            _, plan = plan_stage(stage, stage_inputs, a.rows, DEFAULT_PARAMS, configs)
+            passes.append((stage, ctx.analysis, plan, ctx.c_row_nnz))
+
+    def sweep():
+        for stage, analysis, plan, c_row_nnz in passes:
+            run_pass(stage, analysis, plan, c_row_nnz, configs, DEFAULT_PARAMS, TITAN_V)
+
+    sweep()  # warm-up (per-config tables)
+    # A sweep takes tens of milliseconds, and one preempted sweep is
+    # noise: each sample is the best of three sweeps.
+    times = [_best_of(sweep, 3) for _ in range(max(repeats, 15))]
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return {
+        "median_s": median,
+        "q1_s": q1,
+        "q3_s": q3,
+        "iqr_s": q3 - q1,
+        "per_call_us": median / len(passes) * 1e6,
+        "calls": len(passes),
+        "samples": len(times),
     }
 
 
@@ -360,6 +429,7 @@ def main(argv: List[str] | None = None) -> int:
         "execute": timed("execute", bench_execute, make_cases(), args.repeats),
         "model": timed("model", bench_model, make_cases(), args.repeats),
         "estimate": timed("estimate", bench_estimate, make_cases(), args.repeats),
+        "cold_pass": timed("cold_pass", bench_cold_pass, args.repeats),
         "suite": timed("suite", bench_suite, make_cases, args.workers),
     }
 
@@ -380,6 +450,10 @@ def main(argv: List[str] | None = None) -> int:
     es = report["estimate"]
     print(f"estimate: sampled {es['estimate_s']:.4f}s vs exact analysis "
           f"{es['analyze_s']:.4f}s -> {es['speedup']:.1f}x")
+    cp = report["cold_pass"]
+    print(f"cold pass: {cp['calls']} run_pass calls per sweep, median "
+          f"{cp['median_s'] * 1e3:.2f} ms (IQR {cp['iqr_s'] * 1e3:.2f} ms), "
+          f"{cp['per_call_us']:.0f} us per call")
     if "skipped" in su:
         print(f"suite:   sequential {su['sequential_s']:.3f}s; parallel leg "
               f"skipped ({su['skipped']}, effective_workers="

@@ -42,7 +42,9 @@ _MAX_FILL = 0.98
 def hash_fill(entries: np.ndarray, capacity: np.ndarray) -> np.ndarray:
     """Final fill factor α of each block's hash map, clamped to (0, 0.98]."""
     cap = np.maximum(np.asarray(capacity, dtype=np.float64), 1.0)
-    return np.clip(np.asarray(entries, dtype=np.float64) / cap, 0.0, _MAX_FILL)
+    return np.minimum(
+        np.maximum(np.asarray(entries, dtype=np.float64) / cap, 0.0), _MAX_FILL
+    )
 
 
 def probe_cost_insert(fill: np.ndarray) -> np.ndarray:
@@ -59,7 +61,7 @@ def probe_cost_amortized(fill: np.ndarray) -> np.ndarray:
     whole accumulation actually pays, which stays modest even when the
     final map is nearly full.
     """
-    a = np.clip(np.asarray(fill, dtype=np.float64), 0.0, _MAX_FILL)
+    a = np.minimum(np.maximum(np.asarray(fill, dtype=np.float64), 0.0), _MAX_FILL)
     return 0.5 * (1.0 + 1.0 / (1.0 - a))
 
 

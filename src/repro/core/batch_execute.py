@@ -123,7 +123,7 @@ def _capacity_arrays(
 
     Routing rebuilt these list comprehensions on every multiply even
     though the configuration ladder is device-derived and effectively
-    constant — the same hoist as ``passes._config_arrays``.
+    constant — the same hoist as ``passes._config_table``.
     """
     caps = np.array([c.hash_entries(stage) for c in configs], dtype=np.int64)
     dense = np.array(

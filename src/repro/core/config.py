@@ -38,6 +38,7 @@ __all__ = [
     "KernelConfig",
     "build_configs",
     "config_index_for_entries",
+    "hash_capacities",
     "SYMBOLIC_ENTRY_BYTES",
     "NUMERIC_ENTRY_BYTES",
     "MAX_ROWS_PER_BLOCK",
@@ -103,10 +104,16 @@ def build_configs(device: DeviceSpec) -> List[KernelConfig]:
 
 
 @lru_cache(maxsize=64)
-def _capacity_array(configs: Tuple[KernelConfig, ...], stage: str) -> np.ndarray:
+def hash_capacities(configs: Tuple[KernelConfig, ...], stage: str) -> Tuple[int, ...]:
     """Ascending hash capacities per configuration, cached per config list
     (``KernelConfig`` is frozen, hence hashable)."""
-    capacities = np.array([c.hash_entries(stage) for c in configs], dtype=np.int64)
+    return tuple(c.hash_entries(stage) for c in configs)
+
+
+@lru_cache(maxsize=64)
+def _capacity_array(configs: Tuple[KernelConfig, ...], stage: str) -> np.ndarray:
+    """:func:`hash_capacities` as a read-only int64 array."""
+    capacities = np.array(hash_capacities(configs, stage), dtype=np.int64)
     capacities.setflags(write=False)
     return capacities
 

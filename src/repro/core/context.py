@@ -49,6 +49,7 @@ class MultiplyContext:
         self.case_name = ""
         self._analysis: Optional[RowAnalysis] = None
         self._c_row_nnz: Optional[np.ndarray] = None
+        self._c_nnz: Optional[int] = None
         self._c: Optional[CSR] = None
         self._b_row_nnz: Optional[np.ndarray] = None
 
@@ -68,6 +69,7 @@ class MultiplyContext:
         """
         self._analysis = analysis
         self._c_row_nnz = c_row_nnz
+        self._c_nnz = None
 
     # -- structural facts ------------------------------------------------
     @property
@@ -111,7 +113,10 @@ class MultiplyContext:
 
     @property
     def c_nnz(self) -> int:
-        return int(self.c_row_nnz.sum())
+        """Non-zeros of C, summed once per row-size array."""
+        if self._c_nnz is None:
+            self._c_nnz = int(self.c_row_nnz.sum())
+        return self._c_nnz
 
     @property
     def c(self) -> CSR:

@@ -29,6 +29,7 @@ and the auto-tuner (:mod:`repro.core.tuning`) all decide through it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -40,6 +41,7 @@ from .config import (
     MAX_ROWS_PER_BLOCK,
     KernelConfig,
     config_index_for_entries,
+    hash_capacities,
 )
 from .params import SpeckParams
 
@@ -98,8 +100,10 @@ class BlockPlan:
 def largest_config(
     max_entries: int, configs: list[KernelConfig], stage: str
 ) -> int:
-    """The configuration the longest row (``max_entries``) needs."""
-    return int(config_index_for_entries(np.array([max_entries]), configs, stage)[0])
+    """The configuration the longest row (``max_entries``) needs: the
+    scalar form of :func:`~repro.core.config.config_index_for_entries`."""
+    capacities = hash_capacities(tuple(configs), stage)
+    return min(bisect_left(capacities, max_entries), len(configs) - 1)
 
 
 def uniform_plan(
@@ -118,7 +122,7 @@ def uniform_plan(
     cfg_idx = largest_config(max_req, configs, stage)
     cfg = configs[cfg_idx]
     cap = cfg.hash_entries(stage)
-    per_block = int(np.clip(cap // max(1, max_req), 1, MAX_ROWS_PER_BLOCK))
+    per_block = min(max(cap // max(1, max_req), 1), MAX_ROWS_PER_BLOCK)
     n_blocks = max(1, (rows + per_block - 1) // per_block) if rows else 0
     block_ptr = np.minimum(
         np.arange(n_blocks + 1, dtype=np.int64) * per_block, rows

@@ -42,7 +42,7 @@ def choose_group_size(
     plan priced in one call); every step below is elementwise, so the
     array form returns exactly the per-configuration results.
     """
-    if np.any(np.asarray(threads) < 1):
+    if np.minimum.reduce(np.asarray(threads), axis=None, initial=1) < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     # Exact-zero statistics (empty blocks, rows of B with no entries) are
     # legal inputs; the floor of one non-zero / one unit of length is
@@ -53,7 +53,9 @@ def choose_group_size(
     max_len = np.maximum(np.asarray(max_len, dtype=np.float64), 1.0)
     nnz_a = np.maximum(np.asarray(nnz_a, dtype=np.float64), 1.0)
 
-    g = np.clip(round_pow2(avg_len).astype(np.float64), 1, threads)
+    # avg_len >= 1 rounds to a power of two >= 1 (exact in float64), so
+    # clamping it to [1, threads] is a minimum.
+    g = np.minimum(np.exp2(np.rint(np.log2(avg_len))), threads)
     k = threads / g
     iter_max = max_len / g
     n_rows = nnz_a / k
@@ -75,11 +77,11 @@ def choose_group_size(
     g = np.where(shrink, g * np.sqrt(iter_max / n_rows), g)
 
     # Never more groups than non-zeros of A to serve.
-    k = threads / np.clip(round_pow2(g), 1, threads)
+    k = threads / np.minimum(round_pow2(g), threads)
     too_many_groups = k > nnz_a
     g = np.where(too_many_groups, threads / nnz_a, g)
 
-    return np.clip(round_pow2(g), 1, threads).astype(np.int64)
+    return np.minimum(round_pow2(g), threads).astype(np.int64)
 
 
 def group_stats(

@@ -25,10 +25,10 @@ import numpy as np
 from ..gpu import (
     BlockWork,
     DeviceSpec,
-    block_cycles,
     coalescing_efficiency,
     grouped_kernel_times,
     kernel_time_s,
+    shared_block_cycles,
 )
 from .accumulators import hash_fill, probe_cost_amortized
 from .analysis import RowAnalysis
@@ -37,63 +37,91 @@ from .global_lb import BlockPlan
 from .local_lb import choose_group_size
 from .params import SpeckParams
 
-__all__ = ["PassResult", "run_pass", "radix_sort_time_s", "seg_sum", "seg_max", "seg_min"]
+__all__ = ["PassResult", "run_pass", "radix_sort_time_s", "block_aggregates"]
 
 #: Bytes of one (index, value) element pair streamed from B.
 _ELEM_BYTES = 12.0
 
+def block_aggregates(
+    analysis: RowAnalysis, c_row_nnz: np.ndarray, plan: BlockPlan
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-block sums and extrema of the row statistics, stacked.
 
-def seg_sum(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
-    """Segment sums of ``values`` over CSR-style ``ptr`` (empty-safe)."""
-    cs = np.zeros(values.size + 1, dtype=np.float64)
-    np.cumsum(values, out=cs[1:])
-    return cs[ptr[1:]] - cs[ptr[:-1]]
-
-
-def _seg_reduceat(values: np.ndarray, ptr: np.ndarray, op, empty) -> np.ndarray:
-    out = np.full(ptr.size - 1, empty, dtype=np.asarray(values).dtype)
-    nonempty = ptr[:-1] < ptr[1:]
-    if nonempty.any():
-        out[nonempty] = op.reduceat(values, ptr[:-1][nonempty])
-    return out
-
-
-def seg_max(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
-    """Segment maxima (0 for empty segments)."""
-    return _seg_reduceat(values, ptr, np.maximum, 0)
-
-
-def seg_min(values: np.ndarray, ptr: np.ndarray, fill=None) -> np.ndarray:
-    """Segment minima; empty segments yield ``fill``.
-
-    ``fill=None`` picks the dtype's identity for minimum — ``+inf`` for
-    floats, the dtype's maximum for integers — so an empty segment can
-    never be mistaken for a true minimum of 0.
+    Returns ``(sums, extrema)``.  ``sums`` is a float64 ``(5, n_blocks)``
+    array: products, A row nnz, C row nnz, its square, and adjacency.  Each
+    row is one sequential float64 cumsum over the rows in block order,
+    differenced at the block boundaries.  ``extrema`` is an int64
+    ``(4, n_blocks)`` array: the largest ``max_ref_row``, the largest A
+    row, the smallest ``col_min`` and the largest ``col_max``.  Empty
+    blocks sum to 0 and have maxima 0 and ``col_min`` int64 max, so an
+    empty block is never mistaken for one whose smallest column is 0.
     """
-    if fill is None:
-        dtype = np.asarray(values).dtype
-        fill = np.inf if np.issubdtype(dtype, np.floating) else np.iinfo(dtype).max
-    return _seg_reduceat(values, ptr, np.minimum, fill)
+    order, ptr = plan.row_order, plan.block_ptr
+    rows = np.array(
+        [
+            analysis.products,
+            analysis.a_row_nnz,
+            c_row_nnz,
+            c_row_nnz.astype(np.float64) ** 2,
+            analysis.adjacency,
+        ],
+        dtype=np.float64,
+    )
+    cs = np.zeros((5, order.size + 1), dtype=np.float64)
+    np.cumsum(rows.take(order, axis=1), axis=1, out=cs[:, 1:])
+    bounds = cs.take(ptr, axis=1)
+    sums = bounds[:, 1:] - bounds[:, :-1]
+
+    # col_min is reduced as the maximum of its negation: one reduceat.
+    ext_rows = np.array(
+        [analysis.max_ref_row, analysis.a_row_nnz, analysis.col_min, analysis.col_max],
+        dtype=np.int64,
+    )
+    np.negative(ext_rows[2], out=ext_rows[2])
+    # reduceat cannot express an empty segment: reduce the non-empty ones
+    # (each then ends where the next non-empty one starts) and fill the rest.
+    nonempty = ptr[:-1] < ptr[1:]
+    extrema = np.maximum.reduceat(
+        ext_rows.take(order, axis=1), ptr[:-1][nonempty], axis=1
+    )
+    if extrema.shape[1] < nonempty.size:
+        filled = np.zeros((4, nonempty.size), dtype=np.int64)
+        filled[2] = -np.iinfo(np.int64).max
+        filled[:, nonempty] = extrema
+        extrema = filled
+    np.negative(extrema[2], out=extrema[2])
+    return sums, extrema
 
 
 @lru_cache(maxsize=64)
-def _config_arrays(
-    configs: Tuple[KernelConfig, ...], stage: str
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-configuration lookup arrays, computed once per config list.
+def _config_table(
+    configs: Tuple[KernelConfig, ...], stage: str, device: DeviceSpec
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-configuration factors, computed once per config list, stage
+    and device (all frozen, hence hashable).
 
-    ``KernelConfig`` is a frozen (hashable) dataclass, so a tuple of
-    configs keys the cache; every ``run_pass`` call for the same device
-    reuses the same arrays instead of rebuilding them.  The arrays are
-    frozen read-only because callers fancy-index them (which copies).
+    Returns ``(threads, resident, factors)``: thread counts and resident
+    blocks per SM (int64; :meth:`DeviceSpec.blocks_per_sm` rejects a
+    configuration the device cannot run), and a float64 ``(3, n_cfg)``
+    table of hash capacity, dense capacity and issue share.  The arrays
+    are read-only; callers gather them by block configuration.
     """
     threads = np.array([c.threads for c in configs], dtype=np.int64)
-    scratch = np.array([c.scratch_bytes for c in configs], dtype=np.int64)
-    hash_caps = np.array([c.hash_entries(stage) for c in configs], dtype=np.float64)
-    dense_caps = np.array([c.dense_entries(stage) for c in configs], dtype=np.float64)
-    for arr in (threads, scratch, hash_caps, dense_caps):
+    resident = np.array(
+        [device.blocks_per_sm(c.threads, c.scratch_bytes) for c in configs],
+        dtype=np.int64,
+    )
+    factors = np.array(
+        [
+            [c.hash_entries(stage) for c in configs],
+            [c.dense_entries(stage) for c in configs],
+            threads / device.max_threads_per_sm,
+        ],
+        dtype=np.float64,
+    )
+    for arr in (threads, resident, factors):
         arr.setflags(write=False)
-    return threads, scratch, hash_caps, dense_caps
+    return threads, resident, factors
 
 
 @dataclass
@@ -138,31 +166,22 @@ def run_pass(
         raise ValueError(f"unknown stage {stage!r}")
     numeric = stage == "numeric"
     n_cfg = len(configs)
-    p = plan.row_order
-    ptr = plan.block_ptr
-    if p.size == 0:
+    if plan.row_order.size == 0:
         return PassResult(time_s=kernel_time_s(np.zeros(0), 64, 0, device))
 
     # ---- per-block aggregates (vectorised over all blocks) --------------
-    prods = seg_sum(analysis.products[p], ptr)
-    nnz_a = seg_sum(analysis.a_row_nnz[p], ptr)
-    out_nnz = seg_sum(c_row_nnz[p], ptr)
-    out_sq = seg_sum(c_row_nnz[p].astype(np.float64) ** 2, ptr)
-    max_ref = seg_max(analysis.max_ref_row[p], ptr)
-    max_a_nnz = seg_max(analysis.a_row_nnz[p], ptr)
-    col_lo = seg_min(analysis.col_min[p], ptr)  # empty blocks: int64 max
-    col_hi = seg_max(analysis.col_max[p], ptr)
+    sums, extrema = block_aggregates(analysis, c_row_nnz, plan)
+    prods, nnz_a, out_nnz, out_sq, adj = sums
+    max_ref, max_a_nnz, col_lo, col_hi = extrema
     # Empty blocks produce hi - lo + 1 << 0 (sentinel lo); clamp to 1.
     col_range = np.maximum(col_hi - col_lo + 1, 1)
-    rows_in_block = np.diff(ptr)
+    rows_in_block = plan.block_ptr[1:] - plan.block_ptr[:-1]
     cfg_idx = plan.block_config
-    threads_all, scratch_all, hash_all, dense_all = _config_arrays(
-        tuple(configs), stage
+    threads_all, resident_all, factors_all = _config_table(
+        tuple(configs), stage, device
     )
     threads_arr = threads_all[cfg_idx]
-    scratch_arr = scratch_all[cfg_idx]
-    hash_caps = hash_all[cfg_idx]
-    dense_caps = dense_all[cfg_idx]
+    hash_caps, dense_caps, issue_share = factors_all[:, cfg_idx]
     largest_cap = configs[-1].hash_entries(stage)
 
     # ---- accumulation method per block -----------------------------------
@@ -202,14 +221,10 @@ def run_pass(
             avg_len, np.maximum(max_ref, 1), nnz_a, threads_arr
         )
     else:
-        g = np.minimum(
-            np.full(cfg_idx.size, int(params.fixed_group_size), dtype=np.int64),
-            threads_arr,
-        )
+        g = np.minimum(int(params.fixed_group_size), threads_arr)
     # Consecutive references to B (adjacent columns of A) make consecutive
     # groups stream contiguous CSR storage: effective coalescing width is
     # the group size times the mean reference streak length.
-    adj = seg_sum(analysis.adjacency[p], ptr)
     streak = nnz_a / np.maximum(nnz_a - adj, 1.0)
     # Effective transaction width: a group never fetches more than the row
     # holds (min(g, avg_len)); contiguous B-row references (streak > 1)
@@ -222,7 +237,7 @@ def run_pass(
     # Direct-referencing blocks copy whole rows of B; their access quality
     # is the contiguity of those rows in B's storage (perfect for
     # diagonal-like structure), independent of the group size g.
-    direct_contig = np.clip(prods / col_range, 0.2, 1.0)
+    direct_contig = np.minimum(np.maximum(prods / col_range, 0.2), 1.0)
     coal = np.where(is_direct, np.maximum(coal, direct_contig), coal)
     # Approximate group iterations: len/g per row plus half a wasted lane
     # round per referenced row (remainder of the ceil).
@@ -241,98 +256,93 @@ def run_pass(
     util = np.maximum(util / imbalance, 1e-3)
 
     # ---- compose per-block work ------------------------------------------
-    mem = nnz_a * _ELEM_BYTES + rows_in_block * 8.0  # A entries + offsets
-    rand = np.zeros_like(prods)
-    flops = np.zeros_like(prods)
+    # Direct referencing, hashing and dense accumulation partition the
+    # blocks, so each cost term is one np.where over the three, its parts
+    # added in the order the accumulators charge them (x + 0.0 == x for
+    # these non-negative costs).
+    b_bytes = prods * _ELEM_BYTES
     # Per-row bookkeeping instructions (row-loop setup, offset loads,
     # output cursor) — the fixed work each row of A and each referenced
     # row of B costs regardless of its length.  With idle lanes (small
     # utilisation) this serialises, which is what makes fixed wide groups
-    # expensive on very short rows (Fig. 13's left end).
-    iops = rows_in_block * 30.0 + nnz_a * 10.0
-    scratch = np.zeros_like(prods)
-    scratch_atomic = np.zeros_like(prods)
-    global_atomic = np.zeros_like(prods)
-
-    # Direct referencing: symbolic reads only B's row offsets; numeric
-    # streams the single referenced row through to C.
-    d = is_direct
-    rand[d] += nnz_a[d] * 8.0
-    iops[d] += nnz_a[d] * 2.0
-    if numeric:
-        mem[d] += prods[d] * _ELEM_BYTES  # read B rows
-        mem[d] += prods[d] * _ELEM_BYTES  # write C rows
-        flops[d] += prods[d]
-
-    # Hash accumulation.
-    h = is_hash
-    mem[h] += prods[h] * _ELEM_BYTES
+    # expensive on very short rows (Fig. 13's left end).  On top: an
+    # offset read per A entry (direct), a hash and compound index per
+    # product (hash), a direct index per product (dense).
+    iops = rows_in_block * 30.0 + nnz_a * 10.0 + np.where(
+        is_direct, nnz_a * 2.0, prods * np.where(is_hash, 6.0, 2.0)
+    )
+    # Direct referencing reads B's row offsets, scattered.
+    rand = np.where(is_direct, nnz_a * 8.0, 0.0)
+    # Hash inserts probe at the map's amortised fill; dense accumulation
+    # sets/adds one directly indexed slot per product.
     fill = hash_fill(np.minimum(entries_needed, hash_caps), hash_caps)
     probes = probe_cost_amortized(fill)
-    scratch_atomic[h] += (prods[h] * probes[h])
-    iops[h] += prods[h] * 6.0  # hash computation + compound index
+    scratch_atomic = np.where(is_hash, prods * probes, np.where(is_dense, prods, 0.0))
+    # Window capacity differs per configuration, so inline the per-block
+    # form of :func:`dense_iterations`.
+    iters = np.maximum(np.ceil(col_range / np.maximum(dense_caps, 1.0)), 1.0)
     # Map initialisation and extraction each touch every slot — but
     # cooperatively with *all* threads of the block (unlike accumulation,
     # whose lane utilisation depends on g).  The shared `utilization`
-    # divisor is compensated by pre-scaling.
-    scratch[h] += 2.0 * hash_caps[h] * util[h]
+    # divisor is compensated by pre-scaling.  The dense window is reset
+    # and bitmask/prefix-scanned once per iteration, also cooperatively.
+    scratch = np.where(
+        is_hash,
+        2.0 * hash_caps * util,
+        np.where(is_dense, iters * dense_caps / 8.0 * util, 0.0),
+    )
+    # A map that outgrows its scratchpad moves to global memory and keeps
+    # probing there.
+    global_atomic = np.where(spills, prods * 1.2, 0.0)
+    spill_bytes = np.where(spills, hash_caps * (12.0 if numeric else 4.0), 0.0)
+    mem = nnz_a * _ELEM_BYTES + rows_in_block * 8.0  # A entries + offsets
     if numeric:
-        flops[h] += prods[h] * 2.0
-        mem[h] += out_nnz[h] * _ELEM_BYTES  # write C
+        # Every block streams its B rows; direct copies them to C, hash
+        # and dense write their C rows.
+        mem = mem + b_bytes + np.where(is_direct, b_bytes, out_nnz * _ELEM_BYTES)
+        flops = np.where(is_direct, prods, prods * 2.0)
         # Scratchpad rank sort for the three smallest configurations
         # (cooperative, full-thread phase like extraction); capped by a
         # bitonic n·log²n bound for the rare longer rows.
-        small = h & (cfg_idx <= 2)
+        small = is_hash & (cfg_idx <= 2)
         sort_ops = np.minimum(
             out_sq,
             out_nnz * np.square(np.log2(np.maximum(out_nnz, 2.0))),
         )
-        scratch[small] += sort_ops[small] / 16.0 * util[small]
+        scratch = scratch + np.where(small, sort_ops / 16.0 * util, 0.0)
     else:
-        mem[h] += rows_in_block[h] * 4.0  # write per-row counts
-
-    sp = spills
-    if sp.any():
-        # Move local map to global and continue probing in global memory.
-        global_atomic[sp] += prods[sp] * 1.2
-        mem[sp] += hash_caps[sp] * (4.0 if not numeric else 12.0)
-
-    # Dense accumulation.
-    de = is_dense
-    # Window capacity differs per configuration, so inline the per-block
-    # form of :func:`dense_iterations`.
-    iters = np.maximum(np.ceil(col_range / np.maximum(dense_caps, 1.0)), 1.0)
-    mem[de] += prods[de] * _ELEM_BYTES
-    scratch_atomic[de] += prods[de]  # direct-indexed set/add
-    iops[de] += prods[de] * 2.0
-    # Window reset + bitmask/prefix scan per iteration (cooperative).
-    scratch[de] += iters[de] * dense_caps[de] / 8.0 * util[de]
-    if numeric:
-        flops[de] += prods[de] * 2.0
-        mem[de] += out_nnz[de] * _ELEM_BYTES
-    else:
-        mem[de] += rows_in_block[de] * 4.0
+        # Direct needs only B's offsets; hash and dense stream their B
+        # rows and write per-row counts.
+        mem = (
+            mem
+            + np.where(is_direct, 0.0, b_bytes)
+            + np.where(is_direct, 0.0, rows_in_block * 4.0)
+        )
+        flops = np.zeros_like(prods)
+    mem = mem + spill_bytes
 
     # ---- launch one kernel per configuration ------------------------------
     result = PassResult(time_s=0.0, group_sizes=g)
     result.accum_blocks = {
-        "hash": int(is_hash.sum()),
-        "dense": int(is_dense.sum()),
-        "direct": int(is_direct.sum()),
+        "hash": int(np.count_nonzero(is_hash)),
+        "dense": int(np.count_nonzero(is_dense)),
+        "direct": int(np.count_nonzero(is_direct)),
     }
-    result.global_hash_blocks = int(sp.sum())
-    if sp.any():
-        result.global_hash_max_entries = int(entries_needed[sp].max())
+    result.global_hash_blocks = int(np.count_nonzero(spills))
+    result.global_hash_max_entries = int(
+        np.maximum.reduce(entries_needed, where=spills, initial=0.0)
+    )
     # Unsorted compaction feeding the radix stage (middle configurations).
     if numeric:
-        mid = is_hash & (cfg_idx > 2) & (cfg_idx < n_cfg)
-        result.radix_entries = int(out_nnz[mid & (cfg_idx >= 3)].sum())
-    result.mean_utilization = float(util.mean())
+        result.radix_entries = int(out_nnz[is_hash & (cfg_idx > 2)].sum())
+    # util.mean(), without np.mean's Python-level dispatch.
+    result.mean_utilization = float(util.sum() / util.size)
 
-    # One flat block_cycles sweep prices every block of every configuration
-    # (per-block thread/scratch arrays; each block's grid is the number of
-    # blocks sharing its kernel launch), then the scheduler recovers the
-    # identical per-configuration makespans from the flat array.
+    # One flat sweep prices every block of every configuration; each
+    # block's resident count is capped by its launch grid (a grid smaller
+    # than the device leaves SMs a single resident block with the full
+    # per-SM bandwidth share).  The scheduler then recovers the identical
+    # per-configuration makespans from the flat array.
     work = BlockWork(
         mem_bytes=mem,
         coalescing=coal,
@@ -345,9 +355,11 @@ def run_pass(
         utilization=util,
     )
     grid_sizes = np.bincount(cfg_idx, minlength=n_cfg)
-    cycles = block_cycles(
-        device, threads_arr, scratch_arr, work, grid=grid_sizes[cfg_idx]
+    resident = np.minimum(
+        resident_all, np.maximum(1, -(-grid_sizes // device.num_sms))
     )
+    mem_share = device.bytes_per_sm_cycle / resident
+    cycles = shared_block_cycles(device, work, mem_share[cfg_idx], issue_share)
     result.kernel_times = grouped_kernel_times(cycles, cfg_idx, configs, device)
     result.time_s = float(sum(result.kernel_times.values()))
     return result

@@ -243,28 +243,29 @@ class SpeckEngine:
                 if speculative:
                     # The symbolic kernel is skipped: C is allocated at
                     # the estimate's confidence bound and the numeric
-                    # kernels emit row sizes directly into it.  run_pass
-                    # stays host-side pure, so the record still populates
-                    # the plan; no symbolic kernels run (hence no launch
-                    # or spill sites).
-                    sym = sym_pristine = run_pass(
-                        "symbolic", analysis, plan_sym, c_row_nnz, configs,
-                        params, device,
-                    )
+                    # kernels emit row sizes directly into it.
                     stage_times["symbolic"] = 0.0
                     ledger.alloc(
                         device_csr_bytes(a.rows, int(est.c_nnz.bound)),
                         "C (speculative bound)",
                     )
-                    realized_c = int(c_row_nnz.sum())
                     decisions["speculative"] = True
                     decisions["estimate_sample_size"] = est.sample_size
                     bound_ok = (
                         analysis.prod_max <= est.prod_max.bound
-                        and realized_c <= est.c_nnz.bound
+                        and ctx.c_nnz <= est.c_nnz.bound
                         and analysis.prod_total <= est.products.bound
                     )
-                    if not bound_ok:
+                    if bound_ok:
+                        # The symbolic plan is final: price its record
+                        # for the plan.  run_pass is host-side pure, so
+                        # no symbolic kernels run (hence no launch or
+                        # spill sites).
+                        sym = sym_pristine = run_pass(
+                            "symbolic", analysis, plan_sym, c_row_nnz,
+                            configs, params, device,
+                        )
+                    else:
                         # ---- fallback: the realized stats exceed the
                         # estimate's bounds — run the full exact analysis
                         # and symbolic pass after the fact, re-deriving

@@ -1,6 +1,6 @@
 """Simulated SIMT GPU substrate: device spec, cost model, scheduler, memory."""
 
-from .cost import BlockWork, block_cycles, coalescing_efficiency
+from .cost import BlockWork, block_cycles, coalescing_efficiency, shared_block_cycles
 from .device import TITAN_V, XEON_I7, CpuSpec, DeviceSpec
 from .memory import DeviceOOM, MemoryLedger
 from .schedule import (
@@ -18,6 +18,7 @@ __all__ = [
     "BlockWork",
     "block_cycles",
     "coalescing_efficiency",
+    "shared_block_cycles",
     "MemoryLedger",
     "DeviceOOM",
     "KernelLaunch",

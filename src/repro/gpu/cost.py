@@ -30,7 +30,9 @@ import numpy as np
 
 from .device import DeviceSpec
 
-__all__ = ["BlockWork", "block_cycles", "coalescing_efficiency"]
+__all__ = [
+    "BlockWork", "block_cycles", "coalescing_efficiency", "shared_block_cycles",
+]
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -88,60 +90,65 @@ def coalescing_efficiency(
 
 def block_cycles(
     device: DeviceSpec,
-    threads: "int | np.ndarray",
-    scratch_bytes: "int | np.ndarray",
+    threads: int,
+    scratch_bytes: int,
     work: BlockWork,
     *,
-    grid: "int | np.ndarray | None" = None,
+    grid: "int | None" = None,
 ) -> np.ndarray:
     """Per-block cycle cost for a kernel configuration.
 
     The block cannot go faster than either its memory pipeline or its issue
     pipeline; the two overlap on real hardware, so the cost is their
     maximum plus a small serial fraction of the minor component.
-
-    ``threads``/``scratch_bytes`` may be per-block arrays — one call then
-    prices blocks running under different kernel configurations, with
-    identical elementwise arithmetic to per-configuration scalar calls.
-    In that form ``grid`` must carry each block's launch grid size (the
-    number of blocks sharing its kernel); for the scalar form it defaults
-    to the broadcast work size, as before.
+    ``grid`` (the number of blocks in the launch) defaults to the
+    broadcast work size.
     """
-    threads_in = np.asarray(threads)
-    if threads_in.ndim:
-        if grid is None:
-            raise ValueError("array-form block_cycles requires explicit grid")
-        r = device.blocks_per_sm_array(threads_in, np.asarray(scratch_bytes))
-        # A grid smaller than the device leaves SMs with a single resident
-        # block, which then enjoys the full per-SM bandwidth share.
-        r = np.minimum(r, np.maximum(1, -(-np.asarray(grid) // device.num_sms)))
-        issue_share = threads_in / device.max_threads_per_sm
-    else:
-        r = device.blocks_per_sm(int(threads), int(scratch_bytes))
-        if grid is None:
-            grid = int(
-                np.broadcast(
-                    work.mem_bytes, work.flops, work.iops, work.scratch_ops
-                ).size
-            )
-        if grid:
-            r = min(r, max(1, -(-int(grid) // device.num_sms)))
-        issue_share = int(threads) / device.max_threads_per_sm
+    r = device.blocks_per_sm(int(threads), int(scratch_bytes))
+    if grid is None:
+        grid = int(
+            np.broadcast(work.mem_bytes, work.flops, work.iops, work.scratch_ops).size
+        )
+    if grid:
+        r = min(r, max(1, -(-int(grid) // device.num_sms)))
+    return shared_block_cycles(
+        device,
+        work,
+        device.bytes_per_sm_cycle / r,
+        int(threads) / device.max_threads_per_sm,
+    )
 
+
+def shared_block_cycles(
+    device: DeviceSpec,
+    work: BlockWork,
+    mem_share: ArrayLike,
+    issue_share: ArrayLike,
+) -> np.ndarray:
+    """Per-block cycle cost from each block's share of its SM.
+
+    ``mem_share`` is the block's global-memory bandwidth in bytes per
+    cycle (the SM's fair share over its ``r`` co-resident blocks) and
+    ``issue_share`` its fraction of the SM's issue slots (threads over
+    the SM's maximum).  Both may be per-block arrays, so one call prices
+    blocks running under different kernel configurations with the same
+    elementwise arithmetic as one :func:`block_cycles` call per
+    configuration.
+    """
     util = np.maximum(np.asarray(work.utilization, dtype=np.float64), 1e-3)
-    coal = np.clip(np.asarray(work.coalescing, dtype=np.float64), 1e-3, 1.0)
+    coal = np.minimum(
+        np.maximum(np.asarray(work.coalescing, dtype=np.float64), 1e-3), 1.0
+    )
 
     # --- memory pipeline -------------------------------------------------
     stream_bytes = np.asarray(work.mem_bytes, dtype=np.float64) / coal
     rand = np.asarray(work.random_bytes, dtype=np.float64)
-    rand_bytes = np.where(rand > 0, np.maximum(rand, 1.0), 0.0)
     # Random accesses move whole sectors regardless of useful payload.
-    rand_traffic = (
-        np.ceil(rand_bytes / SECTOR_BYTES) * SECTOR_BYTES * (rand_bytes > 0)
+    rand_traffic = np.where(
+        rand > 0, np.ceil(np.maximum(rand, 1.0) / SECTOR_BYTES) * SECTOR_BYTES, 0.0
     )
     g_atomics = np.asarray(work.global_atomics, dtype=np.float64)
     atomic_traffic = g_atomics * SECTOR_BYTES * device.global_atomic_factor
-    mem_share = device.bytes_per_sm_cycle / r
     mem_cycles = (stream_bytes + rand_traffic + atomic_traffic) / mem_share
 
     # --- issue pipeline ---------------------------------------------------

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = ["DeviceSpec", "TITAN_V", "CpuSpec", "XEON_I7"]
 
 
@@ -104,37 +102,6 @@ class DeviceSpec:
             self.scratchpad_per_sm // scratch_bytes if scratch_bytes > 0 else self.max_blocks_per_sm
         )
         return max(1, min(by_threads, by_scratch, self.max_blocks_per_sm))
-
-    def blocks_per_sm_array(
-        self, threads: np.ndarray, scratch_bytes: np.ndarray
-    ) -> np.ndarray:
-        """Vectorised :meth:`blocks_per_sm` over per-block config arrays.
-
-        Identical arithmetic (integer floor divisions against the same
-        limits), evaluated elementwise — one call prices a grid whose
-        blocks run under different kernel configurations.
-        """
-        threads = np.asarray(threads, dtype=np.int64)
-        scratch = np.asarray(scratch_bytes, dtype=np.int64)
-        if np.any(threads <= 0):
-            raise ValueError("threads must be positive")
-        if np.any(threads > self.max_threads_per_block):
-            raise ValueError(
-                f"threads exceed device max {self.max_threads_per_block}"
-            )
-        if np.any(scratch > self.scratchpad_large):
-            raise ValueError(
-                f"scratchpad exceeds device max {self.scratchpad_large}"
-            )
-        by_threads = self.max_threads_per_sm // threads
-        by_scratch = np.where(
-            scratch > 0,
-            self.scratchpad_per_sm // np.maximum(scratch, 1),
-            self.max_blocks_per_sm,
-        )
-        return np.maximum(
-            1, np.minimum(np.minimum(by_threads, by_scratch), self.max_blocks_per_sm)
-        )
 
     def concurrency(self, threads: int, scratch_bytes: int) -> int:
         """Total concurrently resident blocks across the device."""

@@ -115,12 +115,11 @@ def grouped_kernel_times(
     block_cycles = np.asarray(block_cycles, dtype=np.float64)
     cfg_of_block = np.asarray(cfg_of_block)
     times: Dict[int, float] = {}
-    for c, cfg in enumerate(configs):
-        mask = cfg_of_block == c
-        if not mask.any():
-            continue
+    used = np.flatnonzero(np.bincount(cfg_of_block, minlength=len(configs)))
+    for c in used.tolist():
+        cfg = configs[c]
         times[c] = kernel_time_s(
-            block_cycles[mask],
+            block_cycles[cfg_of_block == c],
             cfg.threads,
             cfg.scratch_bytes,
             device,

@@ -120,6 +120,7 @@ class SpGEMMService:
             )
         self.plans = PlanCache(max_bytes=plan_cache_bytes)
         self.metrics = metrics or MetricsRegistry()
+        self._bound: Dict[str, object] = {}
         self._contexts: "OrderedDict[Tuple[str, str], MultiplyContext]" = (
             OrderedDict()
         )
@@ -257,66 +258,86 @@ class SpGEMMService:
             self.persist_plan(plan)
             self.plans.note_populated(plan)
 
-        m = self.metrics
-        m.counter("service.requests", "multiplies accepted by the core").inc()
+        m = self._metric
+        m("counter", "service.requests", "multiplies accepted by the core").inc()
         if hit:
-            m.counter("service.plan_hits", "plan cache hits").inc()
+            m("counter", "service.plan_hits", "plan cache hits").inc()
         else:
-            m.counter("service.plan_misses", "plan cache misses").inc()
+            m("counter", "service.plan_misses", "plan cache misses").inc()
         if estimate is not None and seeded:
-            m.counter(
+            m(
+                "counter",
                 "service.seeded_estimates",
                 "cold requests planned from a caller-seeded estimate "
                 "(chain iteration refinement)",
             ).inc()
         elif estimate is not None:
-            m.counter(
+            m(
+                "counter",
                 "service.speculative_cold",
                 "cold requests planned from a sampled estimate",
             ).inc()
             if res.decisions.get("speculative_fallback"):
-                m.counter(
+                m(
+                    "counter",
                     "service.speculative_fallbacks",
                     "speculative runs whose bound was violated (exact "
                     "analysis re-run, charged to stage_times['fallback'])",
                 ).inc()
         if brownout is not None and rung != "full":
             res.decisions["brownout"] = brownout.as_dict()
-            m.counter(
+            m(
+                "counter",
                 f"service.brownout_{rung}",
                 f"dispatches planned in {rung} mode",
             ).inc()
             if not hit:
-                m.counter(
+                m(
+                    "counter",
                     "service.brownout_cold_plans",
                     "cold plans computed degraded (refined later)",
                 ).inc()
         if res.valid:
-            m.histogram(
+            m(
+                "histogram",
                 "service.latency_s", "modelled service time, all requests"
             ).observe(res.time_s)
             which = "hit" if hit else "cold"
-            m.histogram(
+            m(
+                "histogram",
                 f"service.latency_{which}_s",
                 f"modelled service time, plan-cache {which} requests",
             ).observe(res.time_s)
         else:
-            m.counter("service.failures", "invalid results returned").inc()
+            m("counter", "service.failures", "invalid results returned").inc()
         if res.retries:
-            m.counter("service.engine_retries", "engine fallback attempts").inc(
+            m("counter", "service.engine_retries", "engine fallback attempts").inc(
                 res.retries
             )
             retry_s = float(res.stage_times.get("retry", 0.0))
             if retry_s > 0.0:
-                m.histogram(
+                m(
+                    "histogram",
                     "service.retry_s",
                     "seconds charged to wasted attempts and backoff",
                 ).observe(retry_s)
-        m.gauge("service.cache_bytes", "bytes held by the plan cache").set(
+        m("gauge", "service.cache_bytes", "bytes held by the plan cache").set(
             self.plans.bytes_cached
         )
-        m.gauge("service.cache_entries", "plans cached").set(len(self.plans))
+        m("gauge", "service.cache_entries", "plans cached").set(len(self.plans))
         return res
+
+    def _metric(self, kind: str, name: str, help: str):
+        """The registry's ``kind`` metric ``name``, looked up once.
+
+        The registry creates a metric on its first lookup, so binding on
+        first use keeps snapshots listing only what some request touched;
+        later requests skip the registry's lock and name lookup.
+        """
+        handle = self._bound.get(name)
+        if handle is None:
+            handle = self._bound[name] = getattr(self.metrics, kind)(name, help)
+        return handle
 
     # ------------------------------------------------------------------
     def hit_rate(self) -> float:

@@ -91,6 +91,11 @@ def test_baseline_guard_exits_on_a_missed_floor(
         lambda cases, repeats: dict(report["estimate"], analyze_s=1.3),
     )
     monkeypatch.setattr(
+        bench, "bench_cold_pass",
+        lambda repeats: {"median_s": 1.0, "iqr_s": 0.1, "per_call_us": 1.0,
+                         "calls": 1},
+    )
+    monkeypatch.setattr(
         bench, "bench_suite",
         lambda make_cases, workers: dict(report["suite"], sequential_s=1.0,
                                          parallel_s=0.6),

@@ -12,7 +12,12 @@ from repro.core.config import (
     build_configs,
     config_index_for_entries,
 )
-from repro.core.global_lb import balanced_plan, block_merge, uniform_plan
+from repro.core.global_lb import (
+    balanced_plan,
+    block_merge,
+    largest_config,
+    uniform_plan,
+)
 from repro.core.local_lb import choose_group_size, group_stats, round_pow2
 from repro.core.params import DEFAULT_PARAMS, LbThresholds
 from repro.gpu import TITAN_V
@@ -206,6 +211,16 @@ class TestPlans:
         plan = uniform_plan(entries, cfgs, "symbolic")
         cap = cfgs[int(plan.block_config[0])].hash_entries("symbolic")
         assert cap >= entries.max() or plan.block_config[0] == 5
+
+    @pytest.mark.parametrize("stage", ["symbolic", "numeric"])
+    def test_largest_config_matches_array_search(self, stage):
+        # The scalar search picks what config_index_for_entries picks, on
+        # each side of every capacity and past the largest one.
+        cfgs = build_configs(TITAN_V)
+        caps = [c.hash_entries(stage) for c in cfgs]
+        for entries in [0, 1] + [c + d for c in caps for d in (-1, 0, 1)] + [10**9]:
+            expected = int(config_index_for_entries(np.array([entries]), cfgs, stage)[0])
+            assert largest_config(entries, cfgs, stage) == expected
 
     def test_uniform_plan_keeps_row_order(self):
         cfgs = build_configs(TITAN_V)

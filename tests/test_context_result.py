@@ -35,6 +35,16 @@ class TestMultiplyContext:
         assert ctx.c_nnz == esc_multiply(a, a).nnz
         assert ctx._c is None
 
+    def test_c_nnz_summed_once_and_reset_by_seeding(self, rng):
+        a = random_csr(rng, 30, 30, 0.15)
+        ctx = MultiplyContext(a, a)
+        nnz = ctx.c_nnz
+        ctx._c_row_nnz = np.zeros_like(ctx.c_row_nnz)  # not re-read
+        assert ctx.c_nnz == nnz
+        seeded = np.array([2, 3] + [0] * 28, dtype=np.int64)
+        ctx.seed_structure(ctx.analysis, seeded)
+        assert ctx.c_nnz == 5
+
     @pytest.mark.parametrize("built_first", [False, True])
     def test_c_row_nnz_is_read_only(self, rng, built_first):
         # A plan that captures the array must not be poisoned by an

@@ -5,15 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import MultiplyContext, SpeckParams, build_configs
-from repro.core.global_lb import balanced_plan, uniform_plan
-from repro.core.passes import (
-    radix_sort_time_s,
-    run_pass,
-    seg_max,
-    seg_min,
-    seg_sum,
-)
+from repro.core import MultiplyContext, SpeckEngine, SpeckParams, build_configs
+from repro.core.analysis import RowAnalysis
+from repro.core.config import KernelConfig
+from repro.core.global_lb import BlockPlan, balanced_plan, uniform_plan
+from repro.core.passes import block_aggregates, radix_sort_time_s, run_pass
+from repro.estimate import estimate_multiply
 from repro.gpu import TITAN_V
 from repro.matrices.generators import (
     banded,
@@ -22,6 +19,9 @@ from repro.matrices.generators import (
     rmat,
     skew_single,
 )
+from repro.serve.plan_cache import PlanCache
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 @pytest.fixture(scope="module")
@@ -45,48 +45,93 @@ def _run(ctx, stage, plan=None, params=None):
     )
 
 
+def _rows(products, max_ref, col_min, col_max, a_nnz, adjacency):
+    return RowAnalysis(
+        products=np.asarray(products, dtype=np.int64),
+        max_ref_row=np.asarray(max_ref, dtype=np.int64),
+        col_min=np.asarray(col_min, dtype=np.int64),
+        col_max=np.asarray(col_max, dtype=np.int64),
+        a_row_nnz=np.asarray(a_nnz, dtype=np.int64),
+        adjacency=np.asarray(adjacency, dtype=np.int64),
+    )
+
+
+def _plan(order, ptr):
+    ptr = np.asarray(ptr, dtype=np.int64)
+    return BlockPlan(
+        row_order=np.asarray(order, dtype=np.int64),
+        block_ptr=ptr,
+        block_config=np.zeros(ptr.size - 1, dtype=np.int64),
+        used_global_lb=True,
+    )
+
+
 class TestSegmentHelpers:
+    """``block_aggregates``: the stacked per-block sums and extrema."""
+
     @given(
-        st.lists(st.floats(min_value=0, max_value=100), min_size=0, max_size=50),
+        st.lists(st.integers(min_value=0, max_value=1000), min_size=0, max_size=50),
         st.data(),
     )
     @settings(max_examples=40)
     def test_seg_sum_matches_numpy(self, values, data):
-        values = np.array(values)
+        n = len(values)
+        vals = np.array(values, dtype=np.int64)
+        order = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
         n_seg = data.draw(st.integers(min_value=1, max_value=8))
         cuts = sorted(
             data.draw(
                 st.lists(
-                    st.integers(min_value=0, max_value=values.size),
+                    st.integers(min_value=0, max_value=n),
                     min_size=n_seg - 1,
                     max_size=n_seg - 1,
                 )
             )
         )
-        ptr = np.array([0] + cuts + [values.size], dtype=np.int64)
-        out = seg_sum(values, ptr)
-        expected = [values[ptr[i]:ptr[i + 1]].sum() for i in range(n_seg)]
-        assert np.allclose(out, expected)
+        ptr = np.array([0] + cuts + [n], dtype=np.int64)
+        analysis = _rows(vals, vals, vals, vals, vals + 1, vals // 2)
+        sums, extrema = block_aggregates(analysis, vals * 3, _plan(order, ptr))
+        assert sums.dtype == np.float64 and sums.shape == (5, n_seg)
+        assert extrema.dtype == np.int64 and extrema.shape == (4, n_seg)
+        for i in range(n_seg):
+            seg = vals[order[ptr[i]:ptr[i + 1]]]
+            c = seg * 3
+            expected = [seg.sum(), (seg + 1).sum(), c.sum(), (c * c).sum(), (seg // 2).sum()]
+            assert list(sums[:, i]) == expected
+            if seg.size:
+                assert list(extrema[:, i]) == [seg.max(), seg.max() + 1, seg.min(), seg.max()]
+            else:
+                assert list(extrema[:, i]) == [0, 0, _INT64_MAX, 0]
 
     def test_seg_max_min_empty_segments(self):
-        values = np.array([3.0, 7.0])
-        ptr = np.array([0, 0, 2, 2])
-        assert list(seg_max(values, ptr)) == [0.0, 7.0, 0.0]
-        # Empty segments yield the minimum's identity (+inf for floats),
-        # distinguishable from a true minimum of 0.
-        assert list(seg_min(values, ptr)) == [np.inf, 3.0, np.inf]
+        analysis = _rows([4, 9], [3, 7], [5, 2], [8, 6], [1, 2], [0, 1])
+        sums, extrema = block_aggregates(
+            analysis, np.array([2, 3]), _plan([0, 1], [0, 0, 2, 2])
+        )
+        assert list(sums[0]) == [0.0, 13.0, 0.0]
+        assert list(sums[3]) == [0.0, 13.0, 0.0]  # 2² + 3²
+        assert list(extrema[0]) == [0, 7, 0]
+        assert list(extrema[1]) == [0, 2, 0]
+        # Empty blocks take col_min's int64-max sentinel, never a true 0.
+        assert list(extrema[2]) == [_INT64_MAX, 2, _INT64_MAX]
+        assert list(extrema[3]) == [0, 8, 0]
 
     def test_seg_min_sentinel_and_fill(self):
-        ints = np.array([5, 2], dtype=np.int64)
-        ptr = np.array([0, 0, 2, 2])
-        out = seg_min(ints, ptr)
-        sentinel = np.iinfo(np.int64).max
-        assert list(out) == [sentinel, 2, sentinel]
-        # Explicit fill overrides the sentinel.
-        assert list(seg_min(ints, ptr, fill=-1)) == [-1, 2, -1]
-        # A true minimum of 0 is preserved, not confused with "empty".
-        zeros = np.array([0, 4], dtype=np.int64)
-        assert list(seg_min(zeros, np.array([0, 2]))) == [0]
+        # A true minimum column of 0 is preserved, not confused with
+        # "empty"; the fills hold for leading, inner and trailing blocks.
+        analysis = _rows([1, 1, 1], [1, 1, 1], [0, 4, 7], [3, 9, 9], [1, 1, 1], [0, 0, 0])
+        _, extrema = block_aggregates(
+            analysis, np.ones(3, dtype=np.int64), _plan([2, 0, 1], [0, 0, 2, 2, 3, 3])
+        )
+        assert list(extrema[2]) == [_INT64_MAX, 0, _INT64_MAX, 4, _INT64_MAX]
+        assert list(extrema[3]) == [0, 9, 0, 9, 0]
+        # No rows at all: every block is empty.
+        empty = _rows([], [], [], [], [], [])
+        sums, extrema = block_aggregates(
+            empty, np.zeros(0, dtype=np.int64), _plan([], [0, 0])
+        )
+        assert sums.tolist() == [[0.0]] * 5
+        assert extrema[:, 0].tolist() == [0, 0, _INT64_MAX, 0]
 
 
 class TestRunPass:
@@ -179,6 +224,89 @@ class TestRunPass:
         balanced = _run(mesh_ctx, "numeric", plan=balanced_plan(ent, configs, "numeric"))
         uniform = _run(mesh_ctx, "numeric", plan=uniform_plan(ent, configs, "numeric"))
         assert balanced.time_s > 0 and uniform.time_s > 0
+
+
+    @pytest.mark.parametrize(
+        "threads, scratch",
+        [
+            (TITAN_V.max_threads_per_block * 2, 1024),
+            (256, TITAN_V.scratchpad_large + 1),
+            (0, 1024),
+        ],
+    )
+    def test_config_over_device_limits_rejected(self, mesh_ctx, threads, scratch):
+        configs = build_configs(TITAN_V)
+        configs[1] = KernelConfig(index=1, threads=threads, scratch_bytes=scratch)
+        plan = uniform_plan(mesh_ctx.analysis.products, configs, "symbolic")
+        with pytest.raises(ValueError):
+            run_pass(
+                "symbolic", mesh_ctx.analysis, plan, mesh_ctx.c_row_nnz,
+                configs, SpeckParams(), TITAN_V,
+            )
+
+
+def _same_record(x, y):
+    return (
+        x.time_s == y.time_s
+        and x.kernel_times == y.kernel_times
+        and x.accum_blocks == y.accum_blocks
+        and x.radix_entries == y.radix_entries
+        and x.global_hash_blocks == y.global_hash_blocks
+        and x.global_hash_max_entries == y.global_hash_max_entries
+        and np.array_equal(x.group_sizes, y.group_sizes)
+        and x.mean_utilization == y.mean_utilization
+    )
+
+
+class TestSpeculativeSymbolicRecord:
+    """A speculative cold multiply prices its symbolic record once, on the
+    symbolic plan it keeps: after the bound check, never before it."""
+
+    @pytest.fixture
+    def symbolic_calls(self, monkeypatch):
+        import repro.core.speck as speck
+
+        stages = []
+
+        def counting(stage, *args):
+            stages.append(stage)
+            return run_pass(stage, *args)
+
+        monkeypatch.setattr(speck, "run_pass", counting)
+        return stages
+
+    @staticmethod
+    def _cold(a, estimate=None):
+        plan, hit = PlanCache().get_or_create(
+            a, a, mode="full" if estimate is None else "speculative"
+        )
+        assert not hit
+        res = SpeckEngine().multiply(a, a, plan=plan, estimate=estimate)
+        assert plan.ready
+        return res, plan
+
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_one_symbolic_record(self, symbolic_calls, fallback):
+        a = banded(400, 3, seed=2)
+        est = estimate_multiply(a, a, seed=0, device=TITAN_V)
+        res, plan = self._cold(a, est.skewed(1e-3) if fallback else est)
+        assert res.decisions.get("speculative_fallback", False) is fallback
+        assert symbolic_calls.count("symbolic") == 1
+        assert symbolic_calls.count("numeric") == 1
+        # The record is the one of the symbolic plan the multiply kept.
+        ctx = MultiplyContext(a, a)
+        kept = run_pass(
+            "symbolic", ctx.analysis, plan.plan_sym, ctx.c_row_nnz,
+            build_configs(TITAN_V), SpeckParams(), TITAN_V,
+        )
+        assert _same_record(plan.sym, kept)
+        # ... and the exact path's record on the same plan.
+        symbolic_calls.clear()
+        _, exact = self._cold(a)
+        assert symbolic_calls.count("symbolic") == 1
+        assert np.array_equal(plan.plan_sym.row_order, exact.plan_sym.row_order)
+        assert np.array_equal(plan.plan_sym.block_ptr, exact.plan_sym.block_ptr)
+        assert _same_record(plan.sym, exact.sym)
 
 
 class TestRadixSortCost:

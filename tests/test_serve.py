@@ -272,6 +272,31 @@ class TestMetrics:
         m = MetricsRegistry()
         assert m.counter("a", "x") is m.counter("a", "x")
 
+    def test_service_looks_each_metric_up_once(self, monkeypatch):
+        """The service binds a metric on first use: later requests skip
+        the registry, and the snapshot lists only what requests touched."""
+        registry = MetricsRegistry()
+        lookups = []
+        for kind in ("counter", "gauge", "histogram"):
+            original = getattr(registry, kind)
+
+            def counted(name, help="", _original=original, **kw):
+                lookups.append(name)
+                return _original(name, help, **kw)
+
+            monkeypatch.setattr(registry, kind, counted)
+        svc = SpGEMMService(metrics=registry)
+        a = _mesh()
+        for _ in range(4):
+            svc.multiply(a, a)
+        assert sorted(lookups) == sorted(set(lookups))
+        snap = registry.snapshot()
+        assert snap["counters"]["service.requests"] == 4
+        assert snap["counters"]["service.plan_hits"] == 3
+        assert snap["counters"]["service.plan_misses"] == 1
+        assert "service.failures" not in snap["counters"]
+        assert snap["histograms"]["service.latency_hit_s"]["count"] == 3
+
 
 # ---------------------------------------------------------------------------
 # Admission control
