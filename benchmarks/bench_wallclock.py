@@ -37,11 +37,11 @@ then checks the speedup floors of :func:`speedup_floor_failures` and
 exits 1 when one is missed.
 
 With ``--serve-out`` the run additionally measures the serving cluster's
-host wall-clock (`repro.cluster`, a short 2-node fleet replay) and merges
-a ``"cluster"`` entry into the given ``BENCH_serve.json`` (preserving the
-``"serve"`` entry written by ``test_serving_throughput.py``).
-``--serve-baseline`` guards that entry with the same ``--max-regress``
-factor; ``--serve-only`` skips the core benches (the CI cluster job).
+host wall-clock (`repro.cluster`, a short 2-node fleet replay) and writes
+it as the ``"cluster"`` entry of the given ``BENCH_serve.json``, the
+file's only entry and this script its only writer.  ``--serve-baseline``
+guards that entry's ``wallclock_s`` with the same ``--max-regress``
+factor; ``--serve-only`` skips the core benches.
 """
 
 from __future__ import annotations
@@ -332,20 +332,10 @@ def bench_cluster() -> Dict[str, object]:
     }
 
 
-def _merge_serve_entry(path: str, entry: Dict[str, object]) -> None:
-    """Write ``{"cluster": entry}`` into ``path``, keeping other keys."""
-    merged: Dict[str, object] = {}
-    if os.path.exists(path):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                loaded = json.load(fh)
-            if isinstance(loaded, dict):
-                merged = loaded
-        except (OSError, json.JSONDecodeError):
-            pass
-    merged["cluster"] = entry
+def _write_serve_entry(path: str, entry: Dict[str, object]) -> None:
+    """Write ``{"cluster": entry}`` to ``path``."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(merged, fh, indent=2, sort_keys=True)
+        json.dump({"cluster": entry}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -364,8 +354,8 @@ def main(argv: List[str] | None = None) -> int:
                     help="fail when batched execute wall-clock exceeds "
                          "baseline by more than this factor")
     ap.add_argument("--serve-out", metavar="PATH",
-                    help="also run the cluster bench and merge a 'cluster' "
-                         "entry into this BENCH_serve.json")
+                    help="also run the cluster bench and write its 'cluster' "
+                         "entry to this BENCH_serve.json")
     ap.add_argument("--serve-baseline", metavar="PATH",
                     help="compare the cluster wall-clock against this "
                          "committed BENCH_serve.json (same --max-regress)")
@@ -383,11 +373,11 @@ def main(argv: List[str] | None = None) -> int:
     serve_rc = 0
     if args.serve_out:
         entry = bench_cluster()
-        _merge_serve_entry(args.serve_out, entry)
+        _write_serve_entry(args.serve_out, entry)
         print(f"cluster: {entry['completed']}/{entry['offered']} served in "
               f"{entry['wallclock_s']:.3f}s wall "
               f"({entry['scaling_vs_single']:.2f}x vs single node); "
-              f"merged into {args.serve_out}")
+              f"wrote {args.serve_out}")
         if args.serve_baseline:
             try:
                 with open(args.serve_baseline, "r", encoding="utf-8") as fh:

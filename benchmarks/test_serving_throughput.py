@@ -5,12 +5,10 @@ Drives the default Zipf/Poisson workload through the full service stack
 guarantees: plan caching absorbs the skewed operand reuse (hit rate over
 one half), tail latency stays finite and ordered, cache-hit requests are
 measurably cheaper than cold ones, and a 10× overload sheds instead of
-crashing.  Writes the full report to ``BENCH_serve.json``.
+crashing.
 """
 
-import json
 import math
-import os
 
 from repro.serve import AdmissionPolicy, WorkloadSpec, run_serve_bench
 
@@ -47,24 +45,6 @@ def test_serving_throughput():
         report.completed + report.shed + report.timed_out + report.failed
         == report.offered
     )
-
-    # BENCH_serve.json holds {"serve": ..., "cluster": ...}; keep whatever
-    # the cluster benches already merged in.
-    out = os.path.join(os.getcwd(), "BENCH_serve.json")
-    merged = {}
-    if os.path.exists(out):
-        try:
-            with open(out, "r", encoding="utf-8") as fh:
-                loaded = json.load(fh)
-            if isinstance(loaded, dict):
-                merged = loaded
-        except (OSError, json.JSONDecodeError):
-            pass
-    merged["serve"] = json.loads(report.to_json())
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(merged, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {out}")
 
 
 def test_serving_overload_sheds():

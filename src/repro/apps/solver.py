@@ -82,9 +82,6 @@ class SolveResult:
     converged: bool
     residual_history: List[float] = field(default_factory=list)
 
-    @property
-    def final_residual(self) -> float:
-        return self.residual_history[-1] if self.residual_history else float("inf")
 
 
 def amg_pcg(

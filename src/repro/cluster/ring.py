@@ -64,14 +64,6 @@ class HashRing:
             raise KeyError(f"member {name!r} not on the ring")
         self._points = [(h, n) for h, n in self._points if n != name]
 
-    @property
-    def members(self) -> List[str]:
-        """Current members, sorted by name."""
-        return sorted(self._members)
-
-    def __len__(self) -> int:
-        return len(self._members)
-
     def __contains__(self, name: str) -> bool:
         return name in self._members
 

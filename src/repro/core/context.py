@@ -51,7 +51,6 @@ class MultiplyContext:
         self._c_row_nnz: Optional[np.ndarray] = None
         self._c_nnz: Optional[int] = None
         self._c: Optional[CSR] = None
-        self._b_row_nnz: Optional[np.ndarray] = None
 
     # -- plan reuse (repro.serve) ----------------------------------------
     def seed_structure(
@@ -92,12 +91,6 @@ class MultiplyContext:
     def flops(self) -> int:
         """FLOPs as counted in the paper: two per intermediate product."""
         return 2 * self.total_products
-
-    @property
-    def b_row_nnz(self) -> np.ndarray:
-        if self._b_row_nnz is None:
-            self._b_row_nnz = self.b.row_nnz()
-        return self._b_row_nnz
 
     @property
     def c_row_nnz(self) -> np.ndarray:

@@ -81,9 +81,6 @@ class BlockPlan:
     def n_blocks(self) -> int:
         return int(self.block_config.size)
 
-    def rows_per_block(self) -> np.ndarray:
-        return np.diff(self.block_ptr)
-
     def validate(self, n_rows: int) -> None:
         """Every row appears exactly once; block ranges are consistent."""
         if self.block_ptr[0] != 0 or self.block_ptr[-1] != self.row_order.size:

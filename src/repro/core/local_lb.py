@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["choose_group_size", "round_pow2", "group_stats"]
+__all__ = ["choose_group_size", "round_pow2"]
 
 
 def round_pow2(x: np.ndarray) -> np.ndarray:
@@ -83,28 +83,3 @@ def choose_group_size(
 
     return np.minimum(round_pow2(g), threads).astype(np.int64)
 
-
-def group_stats(
-    row_lens: np.ndarray,
-    g: int,
-    threads: int,
-) -> tuple[float, float]:
-    """Iterations and utilisation of one block given actual row lengths.
-
-    Returns ``(total_group_iterations, lane_utilisation)`` where an
-    iteration is one ``g``-wide pass over part of a row of B, and
-    utilisation is the fraction of issued lanes doing useful work:
-    ``Σ len / (g · Σ ceil(len / g))``.
-
-    Used by the cost model — the *selection* of ``g`` never sees the full
-    length distribution, exactly as in the paper.
-    """
-    row_lens = np.asarray(row_lens, dtype=np.float64)
-    if row_lens.size == 0:
-        return 0.0, 1.0
-    iters = np.ceil(row_lens / g)
-    total_iters = float(iters.sum())
-    useful = float(row_lens.sum())
-    if total_iters <= 0:
-        return 0.0, 1.0
-    return total_iters, max(1e-3, useful / (g * total_iters))

@@ -24,7 +24,7 @@ from .harness import (
 from .metrics import PRODUCT_CUTOFF, MethodStats, best_times, compute_table3
 from .shm import SharedCSR, SharedCSRHandle
 from .suite import MatrixCase, common_matrices, full_corpus, small_corpus
-from .tables import render_table3, render_table4, table3, table4
+from .tables import render_table3, render_table4, table4
 
 __all__ = [
     "EvalResult",
@@ -48,7 +48,6 @@ __all__ = [
     "compute_table3",
     "best_times",
     "PRODUCT_CUTOFF",
-    "table3",
     "table4",
     "render_table3",
     "render_table4",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 from typing import Union
 
@@ -54,32 +55,21 @@ def runs_to_csv(result: EvalResult, path: Union[str, Path]) -> int:
 
 
 def result_to_json(result: EvalResult, path: Union[str, Path, None] = None) -> str:
-    """Serialise the full result (matrices + runs + stage times) to JSON."""
+    """Serialise the full result to JSON, one record format with checkpoints.
+
+    Matrices and runs are written through ``MatrixRecord.as_dict`` and
+    ``RunRecord.as_dict``; a non-finite ``time_s`` (an invalid run) is
+    written as ``null`` so the file stays strict JSON.
+    """
+    runs = []
+    for r in result.runs:
+        d = r.as_dict()
+        if not math.isfinite(r.time_s):
+            d["time_s"] = None
+        runs.append(d)
     payload = {
-        "matrices": {
-            name: {
-                "family": rec.family,
-                "rows": rec.rows,
-                "cols": rec.cols,
-                "nnz_a": rec.nnz_a,
-                "products": rec.products,
-                "nnz_c": rec.nnz_c,
-                "max_c_row_nnz": rec.max_c_row_nnz,
-            }
-            for name, rec in result.matrices.items()
-        },
-        "runs": [
-            {
-                "matrix": r.matrix,
-                "method": r.method,
-                "time_s": r.time_s if r.valid else None,
-                "peak_mem_bytes": r.peak_mem_bytes,
-                "valid": r.valid,
-                "sorted_output": r.sorted_output,
-                "stage_times": r.stage_times,
-            }
-            for r in result.runs
-        ],
+        "matrices": {name: rec.as_dict() for name, rec in result.matrices.items()},
+        "runs": runs,
     }
     text = json.dumps(payload, indent=1)
     if path is not None:
@@ -98,26 +88,9 @@ def result_from_json(path_or_text: Union[str, Path]) -> EvalResult:
     payload = json.loads(text)
     out = EvalResult()
     for name, m in payload["matrices"].items():
-        out.matrices[name] = MatrixRecord(
-            name=name,
-            family=m["family"],
-            rows=m["rows"],
-            cols=m["cols"],
-            nnz_a=m["nnz_a"],
-            products=m["products"],
-            nnz_c=m["nnz_c"],
-            max_c_row_nnz=m.get("max_c_row_nnz", 0),
-        )
+        out.matrices[name] = MatrixRecord.from_dict({**m, "name": name})
     for r in payload["runs"]:
-        out.runs.append(
-            RunRecord(
-                matrix=r["matrix"],
-                method=r["method"],
-                time_s=r["time_s"] if r["time_s"] is not None else float("inf"),
-                peak_mem_bytes=r["peak_mem_bytes"],
-                valid=r["valid"],
-                sorted_output=r["sorted_output"],
-                stage_times=dict(r.get("stage_times", {})),
-            )
-        )
+        if r["time_s"] is None:
+            r = {**r, "time_s": float("inf")}
+        out.runs.append(RunRecord.from_dict(r))
     return out

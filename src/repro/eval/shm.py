@@ -28,13 +28,13 @@ from __future__ import annotations
 import secrets
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Iterable, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ..matrices.csr import CSR, INDEX_DTYPE, VALUE_DTYPE
 
-__all__ = ["SharedCSR", "SharedCSRHandle", "close_all", "unlink_all"]
+__all__ = ["SharedCSR", "SharedCSRHandle"]
 
 _INDEX_BYTES = np.dtype(INDEX_DTYPE).itemsize
 _VALUE_BYTES = np.dtype(VALUE_DTYPE).itemsize
@@ -184,22 +184,3 @@ class SharedCSR:
     def __exit__(self, *exc) -> None:
         self.close()
         self.unlink()
-
-
-def close_all(segments: Iterable[SharedCSR]) -> None:
-    """Close every mapping in ``segments`` (never raises)."""
-    for seg in segments:
-        try:
-            seg.close()
-        except Exception:  # pragma: no cover - best-effort teardown
-            pass
-
-
-def unlink_all(segments: Iterable[SharedCSR]) -> None:
-    """Close and unlink every segment in ``segments`` (never raises)."""
-    for seg in segments:
-        try:
-            seg.close()
-            seg.unlink()
-        except Exception:  # pragma: no cover - best-effort teardown
-            pass

@@ -7,14 +7,9 @@ from __future__ import annotations
 from typing import Dict, List
 
 from .harness import EvalResult, MatrixRecord
-from .metrics import MethodStats, compute_table3
+from .metrics import MethodStats
 
-__all__ = ["table3", "table4", "render_table3", "render_table4"]
-
-
-def table3(result: EvalResult) -> Dict[str, MethodStats]:
-    """Alias over :func:`repro.eval.metrics.compute_table3`."""
-    return compute_table3(result)
+__all__ = ["table4", "render_table3", "render_table4"]
 
 
 def table4(result: EvalResult) -> List[MatrixRecord]:

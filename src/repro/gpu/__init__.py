@@ -4,7 +4,6 @@ from .cost import BlockWork, block_cycles, coalescing_efficiency, shared_block_c
 from .device import TITAN_V, XEON_I7, CpuSpec, DeviceSpec
 from .memory import DeviceOOM, MemoryLedger
 from .schedule import (
-    KernelLaunch,
     grouped_kernel_times,
     kernel_time_s,
     makespan_cycles,
@@ -21,7 +20,6 @@ __all__ = [
     "shared_block_cycles",
     "MemoryLedger",
     "DeviceOOM",
-    "KernelLaunch",
     "kernel_time_s",
     "grouped_kernel_times",
     "makespan_cycles",

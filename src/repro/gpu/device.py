@@ -142,9 +142,6 @@ class CpuSpec:
     call_overhead_s: float = 4.0e-6
     mem_bandwidth: float = 3.8e10
 
-    def seconds(self, cycles: float) -> float:
-        """Convert aggregate core-cycles to wall time across all cores."""
-        return cycles / (self.clock_hz * self.cores)
 
 
 #: The paper's host CPU.

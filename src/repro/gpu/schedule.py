@@ -15,7 +15,6 @@ balancer exists to remove.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Dict, Sequence
 
 import numpy as np
@@ -23,7 +22,6 @@ import numpy as np
 from .device import DeviceSpec
 
 __all__ = [
-    "KernelLaunch",
     "makespan_cycles",
     "kernel_time_s",
     "grouped_kernel_times",
@@ -60,38 +58,6 @@ def makespan_cycles(block_cycles: np.ndarray, concurrency: int) -> float:
         earliest = heapq.heappop(slots)
         heapq.heappush(slots, earliest + float(c))
     return float(max(slots))
-
-
-@dataclass
-class KernelLaunch:
-    """Aggregate description of one simulated kernel launch.
-
-    Attributes
-    ----------
-    name:
-        Human-readable kernel identifier (appears in stage breakdowns).
-    threads:
-        Threads per block of this configuration.
-    scratch_bytes:
-        Per-block scratchpad allocation of this configuration.
-    block_cycles:
-        Cost of each block in device cycles (length = grid size).
-    """
-
-    name: str
-    threads: int
-    scratch_bytes: int
-    block_cycles: np.ndarray
-
-    def time_s(self, device: DeviceSpec, *, include_launch: bool = True) -> float:
-        """Kernel wall time on ``device`` in seconds."""
-        return kernel_time_s(
-            self.block_cycles,
-            self.threads,
-            self.scratch_bytes,
-            device,
-            include_launch=include_launch,
-        )
 
 
 def grouped_kernel_times(

@@ -35,7 +35,6 @@ from .delta import (
     incremental_multiply,
     invert_delta,
     random_delta,
-    row_delta,
 )
 from .masked import MaskedContext, mask_plan_tag, multiply_masked, triangle_count
 
@@ -53,6 +52,5 @@ __all__ = [
     "mask_plan_tag",
     "multiply_masked",
     "random_delta",
-    "row_delta",
     "triangle_count",
 ]

@@ -49,7 +49,6 @@ __all__ = [
     "incremental_multiply",
     "invert_delta",
     "random_delta",
-    "row_delta",
 ]
 
 
@@ -70,29 +69,10 @@ class RowDelta:
     rows: np.ndarray
     payload: CSR
 
-    @property
-    def n_rows(self) -> int:
-        return int(self.rows.size)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"RowDelta(rows={self.n_rows}, payload_nnz={self.payload.nnz})"
+            f"RowDelta(rows={self.rows.size}, payload_nnz={self.payload.nnz})"
         )
-
-
-def row_delta(a: CSR, rows, payload: CSR) -> RowDelta:
-    """Validated :class:`RowDelta` for ``a``: new content for ``rows``."""
-    rows = np.unique(np.asarray(rows, dtype=INDEX_DTYPE))
-    if rows.size and (rows[0] < 0 or rows[-1] >= a.rows):
-        raise ValueError(
-            f"delta rows out of range for a {a.rows}-row matrix"
-        )
-    if payload.shape != (rows.size, a.cols):
-        raise ValueError(
-            f"payload shape {payload.shape} does not match "
-            f"({rows.size}, {a.cols})"
-        )
-    return RowDelta(rows=rows, payload=payload)
 
 
 def random_delta(

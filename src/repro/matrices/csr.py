@@ -22,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "CSR",
-    "csr_from_dense",
     "csr_zeros",
     "csr_identity",
     "expand_ranges",
@@ -133,19 +132,6 @@ class CSR:
             raise ValueError("dense input must be two-dimensional")
         rows, cols = np.nonzero(dense)
         return cls.from_coo(rows, cols, dense[rows, cols], dense.shape)
-
-    @classmethod
-    def from_scipy(cls, mat) -> "CSR":  # pragma: no cover - thin adapter
-        """Adapt a ``scipy.sparse`` matrix (used only by tests/oracles)."""
-        m = mat.tocsr()
-        m.sort_indices()
-        return cls(
-            m.indptr.astype(INDEX_DTYPE),
-            m.indices.astype(INDEX_DTYPE),
-            m.data.astype(VALUE_DTYPE),
-            m.shape,
-            check=False,
-        )
 
     def to_scipy(self):  # pragma: no cover - thin adapter
         """Convert to ``scipy.sparse.csr_matrix`` (tests/oracles only)."""
@@ -445,11 +431,6 @@ def cached_arange(n: int) -> np.ndarray:
         fresh.flags.writeable = False
         _ARANGE_CACHE = fresh
     return _ARANGE_CACHE[:n]
-
-
-def csr_from_dense(dense: np.ndarray) -> CSR:
-    """Convenience alias for :meth:`CSR.from_dense`."""
-    return CSR.from_dense(dense)
 
 
 def csr_zeros(shape: Tuple[int, int]) -> CSR:

@@ -340,10 +340,6 @@ class SpGEMMService:
         return handle
 
     # ------------------------------------------------------------------
-    def hit_rate(self) -> float:
-        """Plan-cache hit rate over the service's lifetime."""
-        return self.plans.stats().hit_rate
-
     def snapshot(self) -> dict:
         """Combined metrics + plan-cache statistics."""
         snap = self.metrics.snapshot()

@@ -18,7 +18,7 @@ from repro.core.global_lb import (
     largest_config,
     uniform_plan,
 )
-from repro.core.local_lb import choose_group_size, group_stats, round_pow2
+from repro.core.local_lb import choose_group_size, round_pow2
 from repro.core.params import DEFAULT_PARAMS, LbThresholds
 from repro.gpu import TITAN_V
 
@@ -130,19 +130,6 @@ class TestLocalLb:
     def test_never_more_groups_than_nnz(self):
         g = choose_group_size(np.array([1.0]), np.array([1.0]), np.array([2.0]), 1024)
         assert 1024 / g[0] <= 2.0 + 1e-9
-
-    def test_group_stats_full_utilisation(self):
-        iters, util = group_stats(np.full(64, 8.0), 8, 256)
-        assert iters == 64
-        assert util == pytest.approx(1.0)
-
-    def test_group_stats_idle_lanes(self):
-        _, util = group_stats(np.full(64, 2.0), 32, 256)
-        assert util == pytest.approx(2 / 32)
-
-    def test_group_stats_empty(self):
-        iters, util = group_stats(np.array([]), 8, 256)
-        assert iters == 0 and util == 1.0
 
 
 class TestBlockMerge:

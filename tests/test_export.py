@@ -65,23 +65,48 @@ class TestJsonRoundtrip:
         payload = json.loads(result_to_json(result))
         assert "matrices" in payload and "runs" in payload
 
-    def test_invalid_runs_survive(self, result):
-        # inject a failed run and round-trip it
+    def test_roundtrip_keeps_every_run_field(self, result):
+        again = result_from_json(result_to_json(result))
+        for r, a in zip(result.runs, again.runs):
+            assert a.as_dict() == r.as_dict()
+        for name, rec in result.matrices.items():
+            assert again.matrices[name] == rec
+
+    @staticmethod
+    def _roundtrip_failed(result, time_s):
+        """Append a failed run with every optional field set; round-trip it."""
         from repro.eval.harness import RunRecord
+        from repro.faults import FailureInfo
 
         result_copy = result_from_json(result_to_json(result))
-        result_copy.runs.append(
-            RunRecord(
-                matrix=next(iter(result_copy.matrices)),
-                method="broken",
-                time_s=float("inf"),
-                peak_mem_bytes=0,
-                valid=False,
-                sorted_output=True,
-            )
+        failed = RunRecord(
+            matrix=next(iter(result_copy.matrices)),
+            method="broken",
+            time_s=time_s,
+            peak_mem_bytes=0,
+            valid=False,
+            sorted_output=True,
+            stage_times={"analysis": 1e-6},
+            decisions={"global_lb": True},
+            failure="out of memory in symbolic",
+            failure_info=FailureInfo(
+                kind="oom", stage="symbolic", tag="c_rows",
+                message="out of memory in symbolic", retryable=True,
+            ),
+            retries=2,
         )
-        again = result_from_json(result_to_json(result_copy))
-        assert any(not r.valid for r in again.runs)
+        result_copy.runs.append(failed)
+        text = result_to_json(result_copy)
+        json.loads(text, parse_constant=pytest.fail)  # strict JSON, no Infinity
+        return failed, result_from_json(text).runs[-1]
+
+    def test_invalid_runs_survive(self, result):
+        failed, again = self._roundtrip_failed(result, float("inf"))
+        assert again == failed
+
+    def test_invalid_run_keeps_a_finite_time(self, result):
+        failed, again = self._roundtrip_failed(result, 1.5e-3)
+        assert again == failed and again.time_s == 1.5e-3
 
 
 class TestErrorPaths:

@@ -442,6 +442,30 @@ def test_torn_write_does_not_swallow_next_append(tmp_path):
     assert len(load.plans) == 1 and load.quarantined == 1
 
 
+@pytest.mark.parametrize("torn_at", [1, 3, 5])
+def test_torn_put_loses_only_its_own_frame(tmp_path, torn_at):
+    """``disk_torn_write`` armed on every store: the hit tears exactly one
+    ``put``; every frame appended before and after it loads back."""
+    keys, frames = _tiny_frames()
+    keys, frames = keys[:5], frames[:5]
+    d = str(tmp_path / "store")
+    store = PlanStore(
+        d, name="node-0", faults=parse_fault_spec(f"disk_torn_write@*:n={torn_at}")
+    )
+    for frame in frames:
+        store.put(frame)
+    assert store.appended == 5 and store.torn_writes == 1
+    assert store.corrupt_writes == 0
+
+    load = PlanStore(d).load()
+    survivors = [k for i, k in enumerate(keys) if i != torn_at - 1]
+    assert sorted(p.key for p in load.plans) == sorted(survivors)
+    assert load.quarantined == 1
+    # Only a torn *last* frame is a torn tail; one with frames after it
+    # reads as corrupt.
+    assert load.quarantined_torn == (1 if torn_at == 5 else 0)
+
+
 def test_warm_skips_incompatible_and_rejects_damaged(tmp_path):
     d = str(tmp_path / "store")
     store = PlanStore(d)
