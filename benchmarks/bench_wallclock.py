@@ -13,7 +13,7 @@ them to ``BENCH_core.json``:
   serve-churn operands (median and quartiles over repeated sweeps), the
   cost model's largest host cost on a cold plan;
 * **suite path** — `run_suite` end to end, sequentially and on the
-  persistent shared-memory worker pool.  The requested worker count is
+  fork-based process pool.  The requested worker count is
   clamped to the CPU count and reported as ``effective_workers``; on a
   single-core machine the parallel-vs-sequential comparison is skipped
   with an explicit ``"skipped": "single-core"`` marker rather than

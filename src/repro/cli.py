@@ -208,9 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--workers", type=int, default=1, metavar="N",
-        help="evaluate cases on a persistent pool of N forked workers "
-             "(clamped to the CPU count; operands travel via shared "
-             "memory and records are identical to a sequential sweep)",
+        help="evaluate cases on a pool of N forked workers (clamped to "
+             "the CPU count; records are identical to a sequential sweep)",
     )
 
     tune = sub.add_parser("tune", help="auto-tune thresholds (Table 2)")

@@ -22,7 +22,6 @@ from .harness import (
     run_suite,
 )
 from .metrics import PRODUCT_CUTOFF, MethodStats, best_times, compute_table3
-from .shm import SharedCSR, SharedCSRHandle
 from .suite import MatrixCase, common_matrices, full_corpus, small_corpus
 from .tables import render_table3, render_table4, table4
 
@@ -38,8 +37,6 @@ __all__ = [
     "run_suite",
     "evaluate_case",
     "effective_workers",
-    "SharedCSR",
-    "SharedCSRHandle",
     "MatrixCase",
     "full_corpus",
     "small_corpus",

@@ -13,26 +13,23 @@ structured :class:`~repro.faults.FailureInfo` rather than killing the
 sweep — and :func:`run_suite` can checkpoint each finished case to a JSONL
 file and resume an interrupted sweep from it.
 
-Parallel sweeps run on a *persistent* worker pool: workers fork once per
-suite, draw chunked work units from a task queue, receive operands
-through shared-memory CSR segments (:mod:`repro.eval.shm`) and return
-records as checksummed Plan-IR frames
-(:func:`repro.serve.plan_ir.encode_record`) — no per-case fork, no
-operand pickling.  A worker that dies mid-chunk is detected by the
-parent, which re-evaluates the unfinished cases inline, so the sweep
-(and its checkpoint) always completes.
+Parallel sweeps run on a fork-based
+:class:`~concurrent.futures.ProcessPoolExecutor`, one task per case:
+workers inherit the case list at fork time, build each case's operands
+from its own seeded generator and return records as checksummed Plan-IR
+frames (:func:`repro.serve.plan_ir.encode_record`).  If a worker dies,
+the pool breaks and the parent evaluates every unfinished case inline,
+so the sweep (and its checkpoint) always completes.
 """
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
-import queue as queue_mod
-import time
-from collections import deque
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..baselines import SpGEMMAlgorithm, all_algorithms
 from ..core.context import MultiplyContext
@@ -41,7 +38,6 @@ from ..gpu import DeviceSpec, TITAN_V
 from ..result import SpGEMMResult
 from ..serve.plan_ir import decode_record, encode_record
 from .checkpoint import append_jsonl, iter_jsonl, repair_torn_tail
-from .shm import SharedCSR
 from .suite import MatrixCase
 
 __all__ = [
@@ -264,35 +260,31 @@ def evaluate_case(
     return matrix_record, runs
 
 
-def _load_checkpoint(path: str) -> EvalResult:
+#: One finished case: its matrix record and one run record per algorithm.
+_CaseRecords = Tuple[MatrixRecord, List[RunRecord]]
+
+
+def _load_checkpoint(path: str) -> Dict[str, _CaseRecords]:
     """Read finished cases from a JSONL checkpoint (missing file is empty)."""
-    out = EvalResult()
+    out: Dict[str, _CaseRecords] = {}
     for entry in iter_jsonl(path):
         mrec = MatrixRecord.from_dict(entry["matrix"])
-        out.matrices[mrec.name] = mrec
-        out.runs.extend(RunRecord.from_dict(r) for r in entry["runs"])
+        out[mrec.name] = (mrec, [RunRecord.from_dict(r) for r in entry["runs"]])
     return out
 
 
-#: State inherited by forked pool workers: ``(algorithms, faults)``.
-#: Set immediately before the pool forks, cleared right after —
-#: algorithms hold device closures that should not cross a pickle
-#: boundary, so they ride along through fork-time memory inheritance.
-_POOL_STATE: Optional[Tuple[List[SpGEMMAlgorithm], Optional[FaultPlan]]] = None
+#: State of a pool sweep, ``(cases, algorithms, faults)``, set in each
+#: forked worker by :func:`_init_worker`.  Cases hold generator closures
+#: and algorithms hold device closures, neither of which pickles, so they
+#: reach the workers through fork-time memory inheritance.
+_POOL_STATE: Optional[
+    Tuple[List[MatrixCase], List[SpGEMMAlgorithm], Optional[FaultPlan]]
+] = None
 
 #: Test hook: case names whose evaluation makes a *worker* die abruptly
 #: (``os._exit``), exercising the parent's crash-recovery path.  Only
 #: consulted inside pool workers; inherited at fork time.
 _CRASH_CASES: Set[str] = set()
-
-#: Upper bound on cases per work unit.  Chunking amortises queue and
-#: segment round-trips; the cap (together with windowed dispatch, at most
-#: two in-flight chunks per worker) bounds live shared-memory residency.
-_CHUNK_CAP = 4
-
-#: After a worker death, seconds of result-queue silence before the
-#: parent stops waiting for the survivors and finishes inline.
-_STALL_TIMEOUT_S = 15.0
 
 
 def effective_workers(workers: int) -> int:
@@ -305,70 +297,35 @@ def effective_workers(workers: int) -> int:
     return max(1, min(int(workers), os.cpu_count() or 1))
 
 
-def _pool_worker(task_q, result_q) -> None:
-    """Persistent worker loop: chunks in, Plan-IR-framed records out.
+def _init_worker(state) -> None:
+    """Pool initializer: keep the fork-inherited sweep state."""
+    global _POOL_STATE
+    _POOL_STATE = state
 
-    Each work unit is ``(chunk_id, [(idx, name, family, handle_a,
-    handle_b), ...])``; ``None`` means shut down.  Operands are attached
-    from shared memory (zero-copy), evaluated with the fork-inherited
-    algorithms/fault plan, and every finished case is shipped back
-    immediately as one checksummed frame so the parent can checkpoint in
-    completion order.
+
+def _pool_case(idx: int) -> bytes:
+    """Evaluate case ``idx`` in a pool worker; return its record frame.
+
+    The worker builds the operands from the case's own seeded generator,
+    exactly as the sequential path does, so every byte evaluated matches
+    a ``workers=1`` sweep.  The records travel back as one checksummed
+    Plan-IR frame (:func:`~repro.serve.plan_ir.encode_record`): a torn
+    or corrupted transfer raises ``PlanIRError`` in the parent instead of
+    silently damaging a record.
     """
     assert _POOL_STATE is not None
-    algos, faults = _POOL_STATE
-    while True:
-        msg = task_q.get()
-        if msg is None:
-            break
-        chunk_id, items = msg
-        result_q.put(("claim", os.getpid(), chunk_id))
-        for idx, name, family, ha, hb in items:
-            if name in _CRASH_CASES:
-                os._exit(17)
-            payload = _evaluate_shared(idx, name, family, ha, hb, algos, faults)
-            result_q.put(("case", os.getpid(), chunk_id, payload))
-        result_q.put(("done", os.getpid(), chunk_id))
-
-
-def _evaluate_shared(
-    idx: int,
-    name: str,
-    family: str,
-    ha,
-    hb,
-    algos: List[SpGEMMAlgorithm],
-    faults: Optional[FaultPlan],
-) -> bytes:
-    """Attach one case's shared operands, evaluate, frame the records.
-
-    Everything referencing the shared buffers (views, the case closure)
-    must be dropped before ``close()`` — unmapping a segment with live
-    exported numpy views is a ``BufferError``.  The framed payload holds
-    only plain JSON values, so it survives the unmap.
-    """
-    sa = SharedCSR.attach(ha)
-    sb = sa if hb.name == ha.name else SharedCSR.attach(hb)
-    a = b = case = None
-    try:
-        a = sa.view()
-        # Square cases multiply A·A with b *being* a, exactly as
-        # MatrixCase.matrices() produces them sequentially.
-        b = a if sb is sa else sb.view()
-        case = MatrixCase.from_matrices(name, family, a, b)
-        mrec, runs = evaluate_case(case, algos, faults=faults)
-        return encode_record(
-            {
-                "idx": int(idx),
-                "matrix": mrec.as_dict(),
-                "runs": [r.as_dict() for r in runs],
-            }
-        )
-    finally:
-        a = b = case = None
-        sa.close()
-        if sb is not sa:
-            sb.close()
+    case_list, algos, faults = _POOL_STATE
+    case = case_list[idx]
+    if case.name in _CRASH_CASES:
+        os._exit(17)
+    mrec, runs = evaluate_case(case, algos, faults=faults)
+    return encode_record(
+        {
+            "idx": idx,
+            "matrix": mrec.as_dict(),
+            "runs": [r.as_dict() for r in runs],
+        }
+    )
 
 
 def _pool_sweep(
@@ -377,186 +334,33 @@ def _pool_sweep(
     algos: List[SpGEMMAlgorithm],
     faults: Optional[FaultPlan],
     n_proc: int,
-    checkpoint: Optional[str],
-    verbose: bool,
-    chunk_size: Optional[int],
-) -> Dict[int, Tuple[Dict[str, object], List[Dict[str, object]]]]:
-    """Drive the persistent pool over ``pending``; returns results by index.
+) -> Iterator[Tuple[int, _CaseRecords]]:
+    """Evaluate ``pending`` on ``n_proc`` forked workers, in completion order.
 
-    Chunking policy: aim for ~4 chunks per worker (load balance against
-    heterogeneous case costs) capped at :data:`_CHUNK_CAP` cases, with at
-    most two chunks in flight per worker so only a bounded number of
-    shared segments exist at once.  Crash recovery: chunks claimed by a
-    dead worker are re-evaluated inline by the parent (results are
-    deduplicated by case index, so a record that raced the crash through
-    the queue is never double-counted or double-checkpointed).
+    Yields ``(idx, (matrix_record, runs))`` per case as it finishes.  A
+    worker death breaks the whole pool: the cases it had not yet yielded
+    are left for the caller to evaluate inline.
     """
-    global _POOL_STATE
-    ctx = multiprocessing.get_context("fork")
-    task_q = ctx.Queue()
-    result_q = ctx.Queue()
-    chunk = chunk_size or max(
-        1, min(_CHUNK_CAP, math.ceil(len(pending) / (n_proc * 4)))
+    pool = ProcessPoolExecutor(
+        n_proc,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=((case_list, algos, faults),),
     )
-    chunks = deque(
-        (cid, pending[i : i + chunk])
-        for cid, i in enumerate(range(0, len(pending), chunk))
-    )
-
-    segments: Dict[int, List[SharedCSR]] = {}
-    chunk_items: Dict[int, List[int]] = {}
-    claimed: Dict[int, int] = {}
-    finished_chunks: Set[int] = set()
-    done_idx: Dict[int, Tuple[Dict[str, object], List[Dict[str, object]]]] = {}
-
-    def dispatch_one() -> bool:
-        if not chunks:
-            return False
-        cid, idxs = chunks.popleft()
-        segs: List[SharedCSR] = []
-        items = []
-        for idx in idxs:
-            case = case_list[idx]
-            a, b = case.matrices()
-            sa = SharedCSR.from_csr(a)
-            segs.append(sa)
-            if b is a:
-                sb = sa
-            else:
-                sb = SharedCSR.from_csr(b)
-                segs.append(sb)
-            items.append((idx, case.name, case.family, sa.handle, sb.handle))
-            case.release()
-        segments[cid] = segs
-        chunk_items[cid] = list(idxs)
-        task_q.put((cid, items))
-        return True
-
-    def retire_chunk(cid: int) -> None:
-        for seg in segments.pop(cid, ()):
-            seg.close()
-            seg.unlink()
-
-    def accept(
-        idx: int,
-        mrec_dict: Dict[str, object],
-        run_dicts: List[Dict[str, object]],
-    ) -> None:
-        if idx in done_idx:
-            return
-        done_idx[idx] = (mrec_dict, run_dicts)
-        # Checkpoint in completion order: crash-proof resume needs
-        # finished cases on disk immediately.
-        _checkpoint_append(checkpoint, mrec_dict, run_dicts)
-        if verbose:  # pragma: no cover - console convenience
-            _report_case(
-                MatrixRecord.from_dict(mrec_dict),
-                [RunRecord.from_dict(r) for r in run_dicts],
+    try:
+        futures = [pool.submit(_pool_case, idx) for idx in pending]
+        for fut in as_completed(futures):
+            try:
+                frame = fut.result()
+            except BrokenProcessPool:
+                continue
+            rec = decode_record(frame)
+            yield int(rec["idx"]), (
+                MatrixRecord.from_dict(rec["matrix"]),
+                [RunRecord.from_dict(r) for r in rec["runs"]],
             )
-
-    def rescue(idxs: Iterable[int]) -> None:
-        for idx in idxs:
-            if idx in done_idx:
-                continue
-            mrec, runs = evaluate_case(case_list[idx], algos, faults=faults)
-            accept(idx, mrec.as_dict(), [r.as_dict() for r in runs])
-
-    _POOL_STATE = (algos, faults)
-    # Start the shared-memory resource tracker *before* forking: workers
-    # then inherit its pipe and their attach-side registrations land in
-    # the parent's tracker (a set no-op, balanced by the parent's
-    # unlink).  Forking first would leave each worker to spawn a private
-    # tracker that "owns" names only the parent may unlink — harmless
-    # but noisy leak warnings at worker exit.
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.ensure_running()
-    except Exception:  # pragma: no cover - tracker internals shifted
-        pass
-    procs = [
-        ctx.Process(target=_pool_worker, args=(task_q, result_q), daemon=True)
-        for _ in range(n_proc)
-    ]
-    try:
-        for p in procs:
-            p.start()
-        for _ in range(2 * n_proc):
-            if not dispatch_one():
-                break
-        dead_handled: Set[int] = set()
-        last_progress = time.monotonic()
-        while len(done_idx) < len(pending):
-            try:
-                msg = result_q.get(timeout=0.2)
-            except queue_mod.Empty:
-                newly_dead = [
-                    p
-                    for p in procs
-                    if p.pid not in dead_handled and not p.is_alive()
-                ]
-                for p in newly_dead:
-                    dead_handled.add(p.pid)
-                    for cid, pid in list(claimed.items()):
-                        if pid == p.pid and cid not in finished_chunks:
-                            finished_chunks.add(cid)
-                            rescue(chunk_items[cid])
-                            retire_chunk(cid)
-                            dispatch_one()
-                    last_progress = time.monotonic()
-                if not any(p.is_alive() for p in procs):
-                    rescue(i for i in pending if i not in done_idx)
-                elif (
-                    dead_handled
-                    and time.monotonic() - last_progress > _STALL_TIMEOUT_S
-                ):
-                    # A chunk can vanish if a worker dies between taking
-                    # it off the queue and claiming it; after sustained
-                    # silence, stop waiting and finish inline.
-                    rescue(i for i in pending if i not in done_idx)
-                continue
-            last_progress = time.monotonic()
-            kind = msg[0]
-            if kind == "claim":
-                _, pid, cid = msg
-                claimed[cid] = pid
-            elif kind == "case":
-                _, pid, cid, payload = msg
-                rec = decode_record(payload)
-                accept(int(rec["idx"]), rec["matrix"], rec["runs"])
-            elif kind == "done":
-                _, pid, cid = msg
-                finished_chunks.add(cid)
-                retire_chunk(cid)
-                dispatch_one()
     finally:
-        _POOL_STATE = None
-        for _ in procs:
-            try:
-                task_q.put_nowait(None)
-            except Exception:  # pragma: no cover - queue already broken
-                pass
-        for p in procs:
-            p.join(timeout=2.0)
-            if p.is_alive():  # pragma: no cover - stuck worker
-                p.terminate()
-                p.join(timeout=2.0)
-        for cid in list(segments):
-            retire_chunk(cid)
-        task_q.cancel_join_thread()
-        result_q.cancel_join_thread()
-        task_q.close()
-        result_q.close()
-    return done_idx
-
-
-def _checkpoint_append(
-    checkpoint: Optional[str],
-    mrec_dict: Dict[str, object],
-    run_dicts: List[Dict[str, object]],
-) -> None:
-    """Append one finished case to the JSONL checkpoint (no-op if unset)."""
-    append_jsonl(checkpoint, {"matrix": mrec_dict, "runs": run_dicts})
+        pool.shutdown(cancel_futures=True)
 
 
 def _report_case(mrec: MatrixRecord, runs: List[RunRecord]) -> None:  # pragma: no cover
@@ -582,8 +386,6 @@ def run_suite(
     faults: Optional[FaultPlan] = None,
     checkpoint: Optional[str] = None,
     workers: int = 1,
-    chunk_size: Optional[int] = None,
-    clamp: bool = True,
 ) -> EvalResult:
     """Sweep a corpus with a set of algorithms (the paper line-up by default).
 
@@ -591,69 +393,58 @@ def run_suite(
     file as ``{"matrix": ..., "runs": [...]}``; re-running with the same
     path resumes the sweep, skipping cases already on disk.
 
-    With ``workers > 1`` the pending cases fan out over a persistent
-    fork-based worker pool: workers start once, operands travel through
-    shared-memory CSR segments and finished records come back as
-    checksummed Plan-IR frames (see :func:`_pool_sweep`).  Records are
-    identical to a sequential sweep — fault plans derive every coin flip
-    from (seed, rule, method, matrix, event counter), so injection is
-    order-independent by construction — and the returned
-    :class:`EvalResult` keeps corpus order; only the *checkpoint* is
-    appended in completion order (each case lands the moment it finishes,
-    preserving crash-proof resume).  Falls back to the sequential path
-    when the platform lacks ``fork`` (the corpus cases hold generator
-    closures that cannot be pickled to spawned workers).
+    With ``workers > 1`` the pending cases fan out over a fork-based
+    process pool (see :func:`_pool_sweep`), one task per case.  Records
+    are identical to a sequential sweep — workers build each case's
+    operands from its own seeded generator, and fault plans derive every
+    coin flip from (seed, rule, method, matrix, event counter), so
+    injection is order-independent by construction.  The checkpoint is
+    appended in completion order (each case lands the moment it
+    finishes, preserving crash-proof resume).  If a worker dies, the
+    parent evaluates every unfinished case inline.  ``workers`` is
+    clamped to the CPU count (oversubscription only adds noise), and the
+    sweep runs sequentially when the platform lacks ``fork`` (the corpus
+    cases hold generator closures that cannot be pickled to spawned
+    workers) or only one case is pending.
 
-    ``workers`` is clamped to the CPU count (oversubscription only adds
-    noise); pass ``clamp=False`` to force the requested count — useful
-    for exercising the pool machinery on single-core machines.
-    ``chunk_size`` overrides the cases-per-work-unit policy.
+    The result holds exactly the requested cases, in corpus order,
+    whether they come from the checkpoint, the pool or the sequential
+    path.
     """
     algos = list(algorithms) if algorithms is not None else all_algorithms(device)
-    out = _load_checkpoint(checkpoint) if checkpoint else EvalResult()
-    done = set(out.matrices)
-    repair_torn_tail(checkpoint)
-
     case_list = list(cases)
+    saved = _load_checkpoint(checkpoint) if checkpoint else {}
+    repair_torn_tail(checkpoint)
+    finished = {c.name: saved[c.name] for c in case_list if c.name in saved}
     if verbose:  # pragma: no cover - console convenience
-        for case in case_list:
-            if case.name in done:
-                print(f"{case.name:24s} (checkpointed, skipped)")
-    pending = [i for i, c in enumerate(case_list) if c.name not in done]
+        for name in finished:
+            print(f"{name:24s} (checkpointed, skipped)")
+    pending = [i for i, c in enumerate(case_list) if c.name not in finished]
 
-    n_proc = effective_workers(workers) if clamp else max(1, int(workers))
-    n_proc = min(n_proc, len(pending))
-    use_pool = (
-        n_proc > 1
-        and len(pending) > 1
-        and "fork" in multiprocessing.get_all_start_methods()
-    )
-    if use_pool:
-        by_idx = _pool_sweep(
-            case_list,
-            pending,
-            algos,
-            faults,
-            n_proc,
+    def accept(name: str, records: _CaseRecords) -> None:
+        finished[name] = records
+        mrec, runs = records
+        append_jsonl(
             checkpoint,
-            verbose,
-            chunk_size,
-        )
-        for idx in pending:  # corpus order, independent of completion order
-            mrec_dict, run_dicts = by_idx[idx]
-            mrec = MatrixRecord.from_dict(mrec_dict)
-            out.matrices[mrec.name] = mrec
-            out.runs.extend(RunRecord.from_dict(r) for r in run_dicts)
-        return out
-
-    for idx in pending:
-        case = case_list[idx]
-        mrec, runs = evaluate_case(case, algos, faults=faults)
-        out.matrices[case.name] = mrec
-        out.runs.extend(runs)
-        _checkpoint_append(
-            checkpoint, mrec.as_dict(), [r.as_dict() for r in runs]
+            {"matrix": mrec.as_dict(), "runs": [r.as_dict() for r in runs]},
         )
         if verbose:  # pragma: no cover - console convenience
             _report_case(mrec, runs)
+
+    n_proc = min(effective_workers(workers), len(pending))
+    if n_proc > 1 and "fork" in multiprocessing.get_all_start_methods():
+        for idx, records in _pool_sweep(case_list, pending, algos, faults, n_proc):
+            accept(case_list[idx].name, records)
+    # The sequential sweep, and the inline rescue of cases a broken pool
+    # left unfinished.
+    for idx in pending:
+        case = case_list[idx]
+        if case.name not in finished:
+            accept(case.name, evaluate_case(case, algos, faults=faults))
+
+    out = EvalResult()
+    for case in case_list:
+        mrec, runs = finished[case.name]
+        out.matrices[case.name] = mrec
+        out.runs.extend(runs)
     return out

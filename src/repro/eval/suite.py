@@ -62,9 +62,9 @@ class MatrixCase:
     ) -> "MatrixCase":
         """A case over already-materialised operands.
 
-        Used by the worker pool, which receives (A, B) as shared-memory
-        views rather than rebuilding them from a generator closure; the
-        pair is pre-cached so :meth:`matrices` never runs ``build_a``.
+        For callers that hold (A, B) already, such as a benchmark replaying
+        its own operands through :func:`~repro.eval.harness.run_suite`;
+        the pair is pre-cached so :meth:`matrices` never runs ``build_a``.
         """
         case = cls(
             name=name,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -64,6 +66,13 @@ def csr_matrices(
         )
     )
     return CSR.from_coo(np.array(r), np.array(c), np.array(v), (rows, cols))
+
+
+@pytest.fixture
+def four_cores(monkeypatch):
+    """Report four CPUs, so ``run_suite`` forks its worker pool even on
+    a single-core machine."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
 
 
 @pytest.fixture

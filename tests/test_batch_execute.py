@@ -161,6 +161,7 @@ class TestBatchedBitIdentity:
         assert res_b.c.data.tobytes() == res_s.c.data.tobytes()
 
 
+@pytest.mark.usefixtures("four_cores")
 class TestParallelSuite:
     def _dicts(self, result):
         return (
@@ -168,28 +169,31 @@ class TestParallelSuite:
             [r.as_dict() for r in result.runs],
         )
 
-    def test_workers2_record_identical(self):
-        m1, r1 = self._dicts(run_suite(small_corpus(), workers=1))
-        m2, r2 = self._dicts(run_suite(small_corpus(), workers=2, clamp=False))
-        assert json.dumps(m1) == json.dumps(m2)
-        assert json.dumps(r1) == json.dumps(r2)
+    def _sweep(self, tmp_path, workers, spec=None):
+        """Records and sorted checkpoint lines of one sweep."""
+        cp = os.path.join(tmp_path, f"w{workers}.jsonl")
+        faults = parse_fault_spec(spec) if spec else None
+        res = run_suite(
+            small_corpus(), workers=workers, faults=faults, checkpoint=cp
+        )
+        with open(cp, "rb") as fh:
+            lines = sorted(fh.read().splitlines())
+        m, r = self._dicts(res)
+        return json.dumps(m), json.dumps(r), lines
 
-    def test_workers2_identical_under_faults(self):
+    def test_workers2_record_identical(self, tmp_path):
+        assert self._sweep(tmp_path, 1) == self._sweep(tmp_path, 2)
+
+    def test_workers2_identical_under_faults(self, tmp_path):
         spec = "seed=7;launch:p=0.2"
-        m1, r1 = self._dicts(
-            run_suite(small_corpus(), workers=1, faults=parse_fault_spec(spec))
-        )
-        m2, r2 = self._dicts(
-            run_suite(small_corpus(), workers=2, clamp=False, faults=parse_fault_spec(spec))
-        )
-        assert json.dumps(m1) == json.dumps(m2)
-        assert json.dumps(r1) == json.dumps(r2)
+        seq = self._sweep(tmp_path, 1, spec)
+        assert seq == self._sweep(tmp_path, 2, spec)
         # Fault injection actually fired somewhere, or the test is vacuous.
-        assert any(not d["valid"] for d in r1)
+        assert any(not d["valid"] for d in json.loads(seq[1]))
 
     def test_parallel_checkpoint_resumes(self, tmp_path):
         cp = os.path.join(tmp_path, "sweep.jsonl")
-        run_suite(small_corpus(), workers=2, clamp=False, checkpoint=cp)
+        run_suite(small_corpus(), workers=2, checkpoint=cp)
         with open(cp, "r", encoding="utf-8") as fh:
             entries = [json.loads(line) for line in fh if line.strip()]
         assert len(entries) == len(small_corpus())
@@ -204,7 +208,7 @@ class TestParallelSuite:
             runs = [r.as_dict() for r in seq.runs if r.matrix == name]
             assert entry["runs"] == runs
         # Resuming skips everything and reproduces the full result set.
-        resumed = run_suite(small_corpus(), workers=2, clamp=False, checkpoint=cp)
+        resumed = run_suite(small_corpus(), workers=2, checkpoint=cp)
         assert set(resumed.matrices) == set(seq.matrices)
         assert len(resumed.runs) == len(seq.runs)
 
