@@ -12,6 +12,9 @@ them to ``BENCH_core.json``:
 * **cold pass** — ``run_pass`` on the symbolic and numeric plans of the
   serve-churn operands (median and quartiles over repeated sweeps), the
   cost model's largest host cost on a cold plan;
+* **exact product** — ``esc_multiply`` and ``symbolic_row_nnz`` on
+  ``rmat(12, 16)`` squared (median and quartiles), the shared
+  sort-and-compress kernels of every exact CSR product;
 * **suite path** — `run_suite` end to end, sequentially and on the
   fork-based process pool.  The requested worker count is
   clamped to the CPU count and reported as ``effective_workers``; on a
@@ -63,6 +66,7 @@ from repro.core.batch_execute import execute_batched, execute_scalar
 from repro.core.params import DEFAULT_PARAMS
 from repro.eval import effective_workers, full_corpus, run_suite, small_corpus
 from repro.gpu import TITAN_V
+from repro.kernels import esc_multiply, row_products, symbolic_row_nnz
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -232,6 +236,31 @@ def bench_cold_pass(repeats: int) -> Dict[str, object]:
         "calls": len(passes),
         "samples": len(times),
     }
+
+
+def bench_exact_product(repeats: int) -> Dict[str, object]:
+    """Wall-clock of the exact product kernels on ``rmat(12, 16)`` squared.
+
+    ``esc_multiply`` and ``symbolic_row_nnz`` sort the same 6.7 M
+    composite keys; each call takes a few hundred milliseconds, so a
+    sample is one call.  Reports the median and quartiles of
+    ``max(repeats, 7)`` samples per kernel.
+    """
+    from repro.matrices.generators import rmat
+
+    a = rmat(12, 16, seed=0)
+    entry: Dict[str, object] = {"products": int(row_products(a, a).sum())}
+    for fn in (esc_multiply, symbolic_row_nnz):
+        fn(a, a)  # warm-up
+        times = []
+        for _ in range(max(repeats, 7)):
+            t0 = time.perf_counter()
+            fn(a, a)
+            times.append(time.perf_counter() - t0)
+        q1, median, q3 = statistics.quantiles(times, n=4)
+        entry[fn.__name__] = {"median_s": median, "q1_s": q1, "q3_s": q3,
+                              "iqr_s": q3 - q1, "samples": len(times)}
+    return entry
 
 
 def bench_suite(make_cases, workers: int) -> Dict[str, object]:
@@ -420,6 +449,7 @@ def main(argv: List[str] | None = None) -> int:
         "model": timed("model", bench_model, make_cases(), args.repeats),
         "estimate": timed("estimate", bench_estimate, make_cases(), args.repeats),
         "cold_pass": timed("cold_pass", bench_cold_pass, args.repeats),
+        "exact_product": timed("exact_product", bench_exact_product, args.repeats),
         "suite": timed("suite", bench_suite, make_cases, args.workers),
     }
 
@@ -444,6 +474,11 @@ def main(argv: List[str] | None = None) -> int:
     print(f"cold pass: {cp['calls']} run_pass calls per sweep, median "
           f"{cp['median_s'] * 1e3:.2f} ms (IQR {cp['iqr_s'] * 1e3:.2f} ms), "
           f"{cp['per_call_us']:.0f} us per call")
+    xp = report["exact_product"]
+    print(f"exact product: {xp['products']} products, "
+          + ", ".join(f"{name} median {xp[name]['median_s'] * 1e3:.0f} ms "
+                      f"(IQR {xp[name]['iqr_s'] * 1e3:.0f} ms)"
+                      for name in ("esc_multiply", "symbolic_row_nnz")))
     if "skipped" in su:
         print(f"suite:   sequential {su['sequential_s']:.3f}s; parallel leg "
               f"skipped ({su['skipped']}, effective_workers="

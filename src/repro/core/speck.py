@@ -225,7 +225,7 @@ class SpeckEngine:
                     # ---- 1. row analysis -----------------------------
                     scope.enter_stage("analysis")
                     scope.on_launch("analysis")
-                    stage_times["analysis"] = analysis_time_s(a, device)
+                    stage_times["analysis"] = analysis_time_s(a.nnz, device)
                     sym_inputs = symbolic_inputs(analysis)
                 ratio_sym = sym_inputs[1]
 
@@ -274,7 +274,7 @@ class SpeckEngine:
                         # time and oversized/undersized C stay charged too.
                         scope.enter_stage("fallback")
                         scope.on_launch("analysis")
-                        fallback_s = analysis_time_s(a, device)
+                        fallback_s = analysis_time_s(a.nnz, device)
                         sym_inputs = symbolic_inputs(analysis)
                         ratio_sym = sym_inputs[1]
                         spec_binned = use_lb_sym  # bins already allocated

@@ -11,7 +11,6 @@ from .sampler import (
     Estimate,
     MultiplyEstimate,
     estimate_multiply,
-    estimation_time_s,
     seeded_estimate,
 )
 
@@ -21,6 +20,5 @@ __all__ = [
     "RowEstimator",
     "estimate_multiply",
     "estimated_plan_nbytes",
-    "estimation_time_s",
     "seeded_estimate",
 ]

@@ -45,27 +45,20 @@ def estimated_plan_nbytes(rows: int) -> int:
 
 
 class RowEstimator:
-    """Memoised, seeded estimator shared by the serving-layer consumers.
+    """Memoised estimator shared by the serving-layer consumers.
 
-    Estimates are deterministic per ``(A.fingerprint(), B.fingerprint(),
-    seed)``; the memo therefore never changes a result, only its cost.
+    Estimates use the sampler's default seed and are deterministic per
+    ``(A.fingerprint(), B.fingerprint())``; the memo therefore never
+    changes a result, only its cost.
     """
 
     def __init__(
         self,
         device: Optional[DeviceSpec] = None,
         *,
-        seed: int = 0,
-        sample_frac: float = 0.05,
-        min_sample: int = 64,
-        confidence: float = 0.9,
         max_entries: int = 256,
     ) -> None:
         self.device = device
-        self.seed = int(seed)
-        self.sample_frac = float(sample_frac)
-        self.min_sample = int(min_sample)
-        self.confidence = float(confidence)
         self.max_entries = int(max_entries)
         self._memo: "OrderedDict[Tuple[str, str], MultiplyEstimate]" = OrderedDict()
         self._lock = threading.Lock()
@@ -82,15 +75,7 @@ class RowEstimator:
                 self._memo.move_to_end(key)
                 self.hits += 1
                 return cached
-        est = estimate_multiply(
-            a,
-            b,
-            seed=self.seed,
-            sample_frac=self.sample_frac,
-            min_sample=self.min_sample,
-            confidence=self.confidence,
-            device=self.device,
-        )
+        est = estimate_multiply(a, b, device=self.device)
         with self._lock:
             self.misses += 1
             self._memo[key] = est

@@ -16,9 +16,14 @@ accumulator bins for most matrices.  This module implements the sampler:
   cheap hard caps (``nnz(A) * max_row(B)`` for products; per-row
   ``max_row(A) * max_row(B)`` for the row maximum, which therefore always
   holds);
-* a modelled kernel time for the estimation pass, proportional to the
-  sampled share of the matrix — the quantity the speculative planner
-  charges instead of the full analysis + symbolic stages.
+* a modelled kernel time for the estimation pass: the analysis kernel
+  over the sampled non-zeros plus a hash insert per sampled product,
+  proportional to the sampled share of the matrix — the quantity the
+  speculative planner charges instead of the full analysis + symbolic
+  stages.
+
+The sample size and confidence level are the module constants
+:data:`SAMPLE_FRAC`, :data:`MIN_SAMPLE` and :data:`CONFIDENCE`.
 
 Every estimate carries its bound, sample size and seed explicitly
 (:class:`Estimate`), so consumers can decide how much to trust it and the
@@ -36,19 +41,28 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..gpu import BlockWork, DeviceSpec, block_cycles, kernel_time_s
-from ..matrices.csr import CSR, cached_arange, expand_ranges
+from ..core.analysis import analysis_time_s
+from ..core.context import device_csr_bytes
+from ..gpu import DeviceSpec
+from ..kernels.reference import distinct_per_segment, key_dtype, row_products
+from ..matrices.csr import CSR, cached_arange
 
 __all__ = [
+    "CONFIDENCE",
     "Estimate",
+    "MIN_SAMPLE",
     "MultiplyEstimate",
+    "SAMPLE_FRAC",
     "estimate_multiply",
-    "estimation_time_s",
     "seeded_estimate",
 ]
 
-#: Threads per block of the (simulated) estimation kernel.
-_ESTIMATE_BLOCK = 256
+#: Share of A's rows the estimator samples ...
+SAMPLE_FRAC = 0.05
+#: ... but never fewer rows than this (all of A when it is that small).
+MIN_SAMPLE = 64
+#: Stated coverage of the one-sided statistical bounds.
+CONFIDENCE = 0.9
 
 
 @lru_cache(maxsize=64)
@@ -57,8 +71,8 @@ def _norm_quantile(p: float) -> float:
 
     Accurate to ~1e-9 over (0, 1); keeps the estimator dependency-free
     (scipy stays confined to the baseline adapters).  Cached — the
-    estimator evaluates it once per call at a handful of distinct
-    confidence levels, so the polynomial runs only on first use.
+    estimator evaluates it once per call at :data:`CONFIDENCE`, so the
+    polynomial runs only on first use.
     """
     if not (0.0 < p < 1.0):
         raise ValueError(f"confidence must be in (0, 1), got {p}")
@@ -176,33 +190,6 @@ class MultiplyEstimate:
         )
 
 
-def estimation_time_s(
-    sampled_nnz: int, sampled_products: int, device: DeviceSpec
-) -> float:
-    """Simulated wall time of the estimation kernel.
-
-    One thread per sampled non-zero of A, same per-entry cost structure as
-    the full analysis kernel, plus a hash-insert term per sampled
-    intermediate product for the distinct-column count.  Because both
-    terms scale with the *sampled* share of the matrix, the stage costs a
-    few percent of analysis + symbolic for the default 5% sample.
-    """
-    nnz = max(1, int(sampled_nnz))
-    per_product = float(sampled_products) / nnz
-    n_blocks = (nnz + _ESTIMATE_BLOCK - 1) // _ESTIMATE_BLOCK
-    per_block = np.full(n_blocks, _ESTIMATE_BLOCK, dtype=np.float64)
-    per_block[-1] = nnz - _ESTIMATE_BLOCK * (n_blocks - 1)
-    work = BlockWork(
-        mem_bytes=per_block * 12.0,                   # sampled A entries
-        random_bytes=per_block * (24.0 + per_product * 4.0),  # B rows + cols
-        iops=per_block * (12.0 + per_product * 2.0),
-        scratch_atomics=per_block * (4.0 + per_product),      # hash inserts
-        utilization=per_block / _ESTIMATE_BLOCK,
-    )
-    cycles = block_cycles(device, _ESTIMATE_BLOCK, 0, work)
-    return kernel_time_s(cycles, _ESTIMATE_BLOCK, 0, device)
-
-
 @lru_cache(maxsize=512)
 def _sample_rows(digest: bytes, rows: int, k: int) -> np.ndarray:
     """Sorted sample of ``k`` of ``rows`` row ids, seeded by ``digest``.
@@ -262,14 +249,11 @@ def estimate_multiply(
     b: CSR,
     *,
     seed: int = 0,
-    sample_frac: float = 0.05,
-    min_sample: int = 64,
-    confidence: float = 0.9,
     device: Optional[DeviceSpec] = None,
 ) -> MultiplyEstimate:
     """Estimate row statistics and output size of ``A @ B`` from a sample.
 
-    Samples ``max(min_sample, sample_frac * rows)`` rows of A without
+    Samples ``max(MIN_SAMPLE, SAMPLE_FRAC * rows)`` rows of A without
     replacement (the whole matrix when it is small enough — the estimate
     is then exact and every bound degenerates to equality) and computes
     exact per-row products and output nnz for the sampled rows only.
@@ -290,8 +274,8 @@ def estimate_multiply(
     hard_row = amax * bmax
     hard_products = a.nnz * bmax
 
-    k = rows if rows <= min_sample else min(
-        rows, max(min_sample, int(math.ceil(sample_frac * rows)))
+    k = rows if rows <= MIN_SAMPLE else min(
+        rows, max(MIN_SAMPLE, int(math.ceil(SAMPLE_FRAC * rows)))
     )
     if k >= rows:
         sample_rows = cached_arange(rows)
@@ -319,41 +303,18 @@ def estimate_multiply(
     prods = row_off[1:] - row_off[:-1]
     n_products = int(cs[-1])
 
-    # Exact distinct output columns per sampled row (mini symbolic pass).
-    # One flat sort-and-count over ``row_tag * width + col`` keys: sorting
-    # groups duplicates, a boundary mask marks first occurrences, and a
-    # cumulative count differenced at the per-row product offsets
-    # (``cs[seg]`` — the high key bits are the row tag, so the global sort
-    # keeps each row's segment contiguous and in place) yields
-    # distinct-per-row — same result as the previous ``np.unique`` +
-    # ``bincount`` pass without its hash-table walk, which profiled at
-    # ~half the estimator's host time on numpy 2.x.
-    if n_products:
-        b_gather = np.repeat(b.indptr[ref_rows] - cs[:-1], per_entry)
-        b_gather += cached_arange(n_products)
-        # Fuse the row-tag multiply into the k-length tag vector *before*
-        # the repeat: one k-element multiply instead of an n_products one.
-        # Narrow the keys to int32 when every tagged key fits — the sort
-        # below is this pass's hot spot and runs ~2x faster on 4-byte
-        # keys; the arithmetic is exact integers either way, so the
-        # distinct counts are unchanged.
-        width = max(b.cols, 1)
-        key_dtype = np.int32 if k * width < 2**31 else np.int64
-        keys = np.repeat((cached_arange(k) * width).astype(key_dtype), prods)
-        keys += b.indices[b_gather]
-        keys.sort()
-        first = np.empty(n_products, dtype=bool)
-        first[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        cum = np.empty(n_products + 1, dtype=np.int64)
-        cum[0] = 0
-        first.cumsum(dtype=np.int64, out=cum[1:])
-        bounds = cum[row_off]
-        c_sample = bounds[1:] - bounds[:-1]
-    else:
-        c_sample = np.zeros(k, dtype=np.int64)
+    # Exact distinct output columns per sampled row (mini symbolic pass):
+    # keys ``sample_index * b.cols + col``, so each sampled row's products
+    # form one segment, delimited by ``row_off``.  The row tag is
+    # multiplied on the k-length vector *before* the repeat.
+    b_gather = np.repeat(b.indptr[ref_rows] - cs[:-1], per_entry)
+    b_gather += cached_arange(n_products)
+    kd = key_dtype(k, b.cols)
+    keys = np.repeat((cached_arange(k) * b.cols).astype(kd), prods)
+    keys += b.indices[b_gather]
+    c_sample = distinct_per_segment(keys, row_off)
 
-    z = _norm_quantile(confidence)
+    z = _norm_quantile(CONFIDENCE)
     p_total = int(prods.sum()) if k else 0
     c_total = int(c_sample.sum()) if k else 0
     p_value, p_bound = _one_sided_upper(
@@ -372,10 +333,8 @@ def estimate_multiply(
     def est(value: float, bound: float) -> Estimate:
         return Estimate(
             value=float(value), bound=float(bound), sample_size=k,
-            seed=int(seed), confidence=float(confidence),
+            seed=int(seed), confidence=CONFIDENCE,
         )
-
-    from ..core.context import device_csr_bytes  # local: avoid import cycle
 
     input_bytes = device_csr_bytes(a.rows, a.nnz) + device_csr_bytes(b.rows, b.nnz)
     fp_value = input_bytes + device_csr_bytes(rows, int(c_value))
@@ -389,7 +348,7 @@ def estimate_multiply(
 
     time_s = 0.0
     if device is not None:
-        time_s = estimation_time_s(n_sampled, p_total, device)
+        time_s = analysis_time_s(n_sampled, device, p_total)
 
     return MultiplyEstimate(
         key=key,
@@ -411,7 +370,6 @@ def seeded_estimate(
     a: CSR,
     b: CSR,
     *,
-    seed: int = 0,
     device: Optional[DeviceSpec] = None,
 ) -> MultiplyEstimate:
     """Build an estimate for ``A @ B`` from *exact* row statistics.
@@ -430,15 +388,9 @@ def seeded_estimate(
     A's non-zeros with no per-product hashing — strictly cheaper than the
     analysis + symbolic stages it replaces.
     """
-    if a.cols != b.rows:
-        raise ValueError(f"dimension mismatch: A is {a.shape}, B is {b.shape}")
+    prods = row_products(a, b)
     rows = a.rows
     key = (a.fingerprint(), b.fingerprint())
-    b_row_nnz = b.row_nnz()
-    per_entry = b_row_nnz[a.indices]
-    cs = np.zeros(per_entry.size + 1, dtype=np.int64)
-    np.cumsum(per_entry, out=cs[1:])
-    prods = cs[a.indptr[1:]] - cs[a.indptr[:-1]]
     p_total = int(prods.sum())
     p_max = int(prods.max()) if prods.size else 0
     mean_prod = p_total / rows if rows else 0.0
@@ -446,19 +398,17 @@ def seeded_estimate(
     def est(value: float, bound: float) -> Estimate:
         return Estimate(
             value=float(value), bound=float(bound), sample_size=rows,
-            seed=int(seed), confidence=1.0,
+            seed=0, confidence=1.0,
         )
-
-    from ..core.context import device_csr_bytes  # local: avoid import cycle
 
     input_bytes = device_csr_bytes(a.rows, a.nnz) + device_csr_bytes(b.rows, b.nnz)
     fp_value = input_bytes + device_csr_bytes(rows, p_total)
     fp_bound = fp_value + 8 * p_total
     ratio = p_max / max(mean_prod, 1e-9)
-    time_s = estimation_time_s(a.nnz, 0, device) if device is not None else 0.0
+    time_s = analysis_time_s(a.nnz, device) if device is not None else 0.0
     return MultiplyEstimate(
         key=key,
-        seed=int(seed),
+        seed=0,
         rows=rows,
         sample_size=rows,
         products=est(float(p_total), float(p_total)),

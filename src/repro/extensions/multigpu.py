@@ -164,7 +164,6 @@ def multigpu_multiply(
         a_slab = a.select_rows(range(lo, hi))
         if a_slab.rows == 0:
             device_times.append(0.0)
-            slabs.append(_empty_slab(0, b.cols))
             continue
         ctx = MultiplyContext(a_slab, b)
         ctx.faults = faults
@@ -204,16 +203,3 @@ def multigpu_multiply(
         per_device=per_device,
     )
 
-
-def _empty_slab(rows: int, cols: int) -> CSR:
-    import numpy as np
-
-    from ..matrices.csr import INDEX_DTYPE, VALUE_DTYPE
-
-    return CSR(
-        np.zeros(rows + 1, dtype=INDEX_DTYPE),
-        np.empty(0, dtype=INDEX_DTYPE),
-        np.empty(0, dtype=VALUE_DTYPE),
-        (rows, cols),
-        check=False,
-    )

@@ -31,7 +31,7 @@ from ..core.speck import SpeckEngine
 from ..faults import FailureInfo, FaultPlan
 from ..gpu import DeviceSpec, TITAN_V
 from ..kernels.reference import row_products
-from ..matrices.csr import CSR, INDEX_DTYPE, VALUE_DTYPE
+from ..matrices.csr import CSR, INDEX_DTYPE, csr_zeros
 from ..result import SpGEMMResult
 
 __all__ = [
@@ -226,13 +226,7 @@ def partitioned_multiply(
 def _stack_rows(parts: List[CSR], shape: tuple[int, int]) -> CSR:
     """Vertically concatenate row slabs (they tile the row range in order)."""
     if not parts:
-        return CSR(
-            np.zeros(shape[0] + 1, dtype=INDEX_DTYPE),
-            np.empty(0, dtype=INDEX_DTYPE),
-            np.empty(0, dtype=VALUE_DTYPE),
-            shape,
-            check=False,
-        )
+        return csr_zeros(shape)
     indptr = [np.zeros(1, dtype=INDEX_DTYPE)]
     offset = 0
     for p in parts:

@@ -44,9 +44,9 @@ from ..core.speck import SpeckEngine
 from ..faults import FaultPlan
 from ..gpu import DeviceSpec, TITAN_V
 from ..gpu.trace import Trace
-from ..kernels.reference import expand_products
-from ..matrices.csr import CSR, INDEX_DTYPE, VALUE_DTYPE
-from ..matrices.ops import pattern
+from ..kernels.reference import composite_keys, compress, expand_products, row_products
+from ..matrices.csr import CSR
+from ..matrices.ops import keep_entries, mask, pattern
 from ..result import SpGEMMResult
 
 __all__ = ["MaskedContext", "mask_plan_tag", "multiply_masked", "triangle_count"]
@@ -66,12 +66,7 @@ def _drop_entries(m: CSR, factor: float) -> CSR:
     stride = max(int(round(1.0 / factor)), 1)
     keep = np.ones(m.nnz, dtype=bool)
     keep[::stride] = False
-    rows = m.row_ids()[keep]
-    indptr = np.zeros(m.rows + 1, dtype=INDEX_DTYPE)
-    if rows.size:
-        indptr[1:] = np.bincount(rows, minlength=m.rows)
-    np.cumsum(indptr, out=indptr)
-    return CSR(indptr, m.indices[keep], m.data[keep], m.shape, check=False)
+    return keep_entries(m, keep)
 
 
 class MaskedContext(MultiplyContext):
@@ -110,9 +105,7 @@ class MaskedContext(MultiplyContext):
     # -- the execute-path hooks consumed by SpeckEngine._execute ---------
     def apply_mask(self, c: CSR) -> CSR:
         """Keep only C's entries at positions in the pruned-column set."""
-        from ..matrices.ops import mask as ops_mask
-
-        return ops_mask(c, self.mask)
+        return mask(c, self.mask)
 
     # -- mask-pruned facts ------------------------------------------------
     def _compute_masked(self) -> None:
@@ -122,25 +115,21 @@ class MaskedContext(MultiplyContext):
         product's output position in the allowed set is a sorted-search
         against the mask's composite keys (CSR order is already
         row-major/column-minor, i.e. key-sorted).  The surviving products
-        yield the pruned per-row analysis *and* the masked product matrix
-        in the same expand/sort/compress shape as
-        :func:`~repro.kernels.reference.esc_multiply` — filtering before
-        the stable sort keeps each output entry's accumulation order
-        identical to the full product's, so values are bit-equal to the
-        post-filtered full product.
+        yield the pruned per-row analysis, and
+        :func:`~repro.kernels.reference.compress` of their keys the
+        masked product matrix — filtering before its stable sort keeps
+        each output entry's accumulation order identical to the full
+        product's, so values are bit-equal to the post-filtered full
+        product.
         """
         a, b, allowed = self.a, self.b, self.mask
+        shape = (a.rows, b.cols)
         out_rows, out_cols, out_vals = expand_products(a, b)
         self._full_products = int(out_rows.size)
-        width = np.int64(max(b.cols, 1))
-        keys = out_rows * width + out_cols
-        akeys = allowed.row_ids() * width + allowed.indices
-        if keys.size and akeys.size:
-            pos = np.searchsorted(akeys, keys)
-            pos = np.minimum(pos, akeys.size - 1)
-            hit = akeys[pos] == keys
-        else:
-            hit = np.zeros(keys.size, dtype=bool)
+        keys = composite_keys(out_rows, out_cols, shape)
+        akeys = composite_keys(allowed.row_ids(), allowed.indices, shape)
+        pos = np.minimum(np.searchsorted(akeys, keys), max(akeys.size - 1, 0))
+        hit = akeys[pos] == keys if akeys.size else np.zeros(keys.size, dtype=bool)
 
         # Pruned per-row / per-entry product counts.
         counts = b.row_nnz()[a.indices]
@@ -153,33 +142,7 @@ class MaskedContext(MultiplyContext):
         products = cs[row_off[1:]] - cs[row_off[:-1]]
         max_ref = _segment_reduce(per_entry_surv, a.indptr, np.maximum, 0)
 
-        # Masked product matrix (expand/sort/compress over survivors).
-        skeys = keys[hit]
-        svals = out_vals[hit]
-        if skeys.size:
-            order = np.argsort(skeys, kind="stable")
-            skeys = skeys[order]
-            svals = svals[order]
-            new_run = np.empty(skeys.size, dtype=bool)
-            new_run[0] = True
-            np.not_equal(skeys[1:], skeys[:-1], out=new_run[1:])
-            starts = np.flatnonzero(new_run)
-            c_vals = np.add.reduceat(svals, starts)
-            uniq = skeys[starts]
-            c_rows = uniq // width
-            c_cols = uniq % width
-            indptr = np.zeros(a.rows + 1, dtype=INDEX_DTYPE)
-            indptr[1:] = np.bincount(c_rows, minlength=a.rows)
-            np.cumsum(indptr, out=indptr)
-            c = CSR(indptr, c_cols, c_vals, (a.rows, b.cols), check=False)
-        else:
-            c = CSR(
-                np.zeros(a.rows + 1, dtype=INDEX_DTYPE),
-                np.empty(0, dtype=INDEX_DTYPE),
-                np.empty(0, dtype=VALUE_DTYPE),
-                (a.rows, b.cols),
-                check=False,
-            )
+        c = compress(keys[hit], out_vals[hit], shape)
 
         # Masked column extents: the deduplicated survivors per row.
         c_nnz_rows = c.row_nnz()
@@ -228,8 +191,6 @@ class MaskedContext(MultiplyContext):
         if self._full_products is None:
             # A plan hit seeds the masked analysis without expanding; the
             # full count is a cheap exact pass over the operands.
-            from ..kernels.reference import row_products
-
             self._full_products = int(row_products(self.a, self.b).sum())
         full = self._full_products
         if full <= 0:

@@ -14,6 +14,17 @@ Two independent from-scratch implementations of ``C = A · B``:
 Also provided are the cheap structural analyses both the paper and our
 simulator need: per-row intermediate-product counts (:func:`row_products`)
 and exact per-row output sizes (:func:`symbolic_row_nnz`).
+
+Every exact product in the package sorts composite keys
+``row * width + col`` (:func:`composite_keys`, of the one width rule
+:func:`key_dtype`) through the kernels here: :func:`compress` sums equal
+keys into CSR for :func:`esc_multiply`, ``matrices.ops.add`` and
+``graph.masked.MaskedContext``; :func:`distinct_per_segment` counts
+distinct keys per row for :func:`symbolic_row_nnz` and the sampled
+symbolic pass of ``estimate.sampler``.  The oracles stay independent of
+them: :func:`gustavson_multiply`, ``CSR.from_coo`` (a two-key lexsort,
+correct at any shape), ``core.analysis.analyze``, the executable
+accumulators of ``core.batch_execute`` and everything in ``repro.check``.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..matrices.csr import CSR, INDEX_DTYPE, VALUE_DTYPE, expand_ranges
+from ..matrices.csr import CSR, INDEX_DTYPE, VALUE_DTYPE, csr_zeros, expand_ranges
 
 __all__ = [
     "row_products",
@@ -31,6 +42,10 @@ __all__ = [
     "symbolic_row_nnz",
     "gustavson_multiply",
     "count_flops",
+    "key_dtype",
+    "composite_keys",
+    "compress",
+    "distinct_per_segment",
 ]
 
 
@@ -80,6 +95,82 @@ def expand_products(
     return out_rows, out_cols, out_vals
 
 
+def key_dtype(n_rows: int, width: int) -> type:
+    """Integer type of the composite keys ``row * width + col``.
+
+    int32 when ``n_rows * width < 2**31`` (every key fits, and the sorts
+    run about twice as fast on 4-byte keys), int64 while the largest key
+    ``n_rows * width - 1`` fits in it.  Beyond ``2**63`` a key would wrap
+    around onto another row's, so the shape is refused with
+    ``ValueError`` rather than producing a wrong C.
+    """
+    span = int(n_rows) * int(width)
+    if span < 2**31:
+        return np.int32
+    if span <= 2**63:
+        return np.int64
+    raise ValueError(
+        f"composite (row, col) keys of a {n_rows} x {width} result "
+        "do not fit in int64"
+    )
+
+
+def composite_keys(
+    rows: np.ndarray, cols: np.ndarray, shape: Tuple[int, int]
+) -> np.ndarray:
+    """``rows * shape[1] + cols`` in :func:`key_dtype` of ``shape``.
+
+    Sorting one composite key is several times faster than a two-key
+    lexsort, and orders entries row-major/column-minor like CSR.
+    """
+    keys = rows.astype(key_dtype(*shape))
+    keys *= shape[1]
+    keys += cols
+    return keys
+
+
+def compress(keys: np.ndarray, vals: np.ndarray, shape: Tuple[int, int]) -> CSR:
+    """Sum the values of equal composite keys into a sorted CSR matrix.
+
+    The sort and compress stages of ESC.  The sort is stable, so every
+    output entry sums its values in their input order: results are
+    bit-identical to ``CSR.from_coo`` of the decoded triplets.  Entries
+    that sum to zero are kept.
+    """
+    if keys.size == 0:
+        return csr_zeros(shape)
+    n_rows, width = shape
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new_run = np.empty(keys.size, dtype=bool)
+    new_run[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new_run[1:])
+    starts = np.flatnonzero(new_run)
+    uniq = keys[starts]
+    indptr = np.zeros(n_rows + 1, dtype=INDEX_DTYPE)
+    indptr[1:] = np.bincount(uniq // width, minlength=n_rows)
+    np.cumsum(indptr, out=indptr)
+    cols = (uniq % width).astype(INDEX_DTYPE, copy=False)
+    return CSR(indptr, cols, np.add.reduceat(vals[order], starts), shape, check=False)
+
+
+def distinct_per_segment(keys: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Distinct keys in each segment ``keys[offsets[i]:offsets[i + 1]]``.
+
+    Every key of a segment must be smaller than every key of the next
+    (row-tagged composite keys are), so one global sort keeps each
+    segment in place.  Sorts ``keys`` in place; returns int64 counts.
+    """
+    keys.sort()
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    distinct = np.zeros(keys.size + 1, dtype=np.int64)
+    np.cumsum(first, out=distinct[1:])
+    bounds = distinct[offsets]
+    return bounds[1:] - bounds[:-1]
+
+
 def esc_multiply(a: CSR, b: CSR) -> CSR:
     """Exact SpGEMM via expand / sort / compress.
 
@@ -88,34 +179,9 @@ def esc_multiply(a: CSR, b: CSR) -> CSR:
     and the paper's symbolic/numeric split, where structure is fixed by the
     symbolic pass before values are computed).
     """
-    _check_shapes(a, b)
     rows, cols, vals = expand_products(a, b)
-    if rows.size == 0:
-        return CSR(
-            np.zeros(a.rows + 1, dtype=INDEX_DTYPE),
-            np.empty(0, dtype=INDEX_DTYPE),
-            np.empty(0, dtype=VALUE_DTYPE),
-            (a.rows, b.cols),
-            check=False,
-        )
-    # Sorting a single composite (row, col) key is several times faster
-    # than a two-key lexsort at these sizes.
-    key = rows * np.int64(b.cols) + cols
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    vals = vals[order]
-    new_run = np.empty(key.size, dtype=bool)
-    new_run[0] = True
-    np.not_equal(key[1:], key[:-1], out=new_run[1:])
-    starts = np.flatnonzero(new_run)
-    out_vals = np.add.reduceat(vals, starts)
-    uniq = key[starts]
-    out_rows = uniq // b.cols
-    out_cols = uniq % b.cols
-    indptr = np.zeros(a.rows + 1, dtype=INDEX_DTYPE)
-    indptr[1:] = np.bincount(out_rows, minlength=a.rows)
-    np.cumsum(indptr, out=indptr)
-    return CSR(indptr, out_cols, out_vals, (a.rows, b.cols), check=False)
+    shape = (a.rows, b.cols)
+    return compress(composite_keys(rows, cols, shape), vals, shape)
 
 
 def symbolic_row_nnz(a: CSR, b: CSR) -> np.ndarray:
@@ -124,35 +190,20 @@ def symbolic_row_nnz(a: CSR, b: CSR) -> np.ndarray:
     This is what the paper's *symbolic SpGEMM* pass computes on device; here
     it is derived from the expanded index set without touching values.
 
-    Each product gets the composite key ``row * b.cols + col``.  The keys
-    are int32 when ``a.rows * b.cols < 2**31`` (every key fits, and the
-    sort — this pass's hot spot — runs about twice as fast on 4-byte
-    keys) and int64 otherwise.  Row ``r``'s keys all lie in
-    ``[r * b.cols, (r + 1) * b.cols)``, so sorting the whole key array
-    keeps each row's products in its own segment; the distinct keys per
-    segment are the row sizes.  The returned int64 array is read-only,
-    like :meth:`CSR.row_nnz`.
+    Each product gets the composite key ``row * b.cols + col``; row
+    ``r``'s keys all lie in ``[r * b.cols, (r + 1) * b.cols)``, so the
+    distinct keys of each row's product segment are the row sizes.  The
+    returned int64 array is read-only, like :meth:`CSR.row_nnz`.
     """
     _check_shapes(a, b)
     counts = b.row_nnz()[a.indices]
     entry_off = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(counts, out=entry_off[1:])
-    n_products = int(entry_off[-1])
-    if n_products == 0:
-        out = np.zeros(a.rows, dtype=np.int64)
-    else:
-        key_dtype = np.int32 if a.rows * b.cols < 2**31 else np.int64
-        row_keys = (np.arange(a.rows, dtype=np.int64) * b.cols).astype(key_dtype)
-        keys = np.repeat(np.repeat(row_keys, a.row_nnz()), counts)
-        keys += b.indices[expand_ranges(b.indptr[a.indices], counts)]
-        keys.sort()
-        first = np.empty(n_products, dtype=bool)
-        first[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        distinct = np.zeros(n_products + 1, dtype=np.int64)
-        np.cumsum(first, out=distinct[1:])
-        row_off = entry_off[a.indptr]
-        out = distinct[row_off[1:]] - distinct[row_off[:-1]]
+    kd = key_dtype(a.rows, b.cols)
+    row_keys = (np.arange(a.rows, dtype=np.int64) * b.cols).astype(kd)
+    keys = np.repeat(np.repeat(row_keys, a.row_nnz()), counts)
+    keys += b.indices[expand_ranges(b.indptr[a.indices], counts)]
+    out = distinct_per_segment(keys, entry_off[a.indptr])
     out.flags.writeable = False
     return out
 

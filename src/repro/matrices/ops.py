@@ -12,10 +12,11 @@ the multiply kernels from a different angle.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
+from ..kernels.reference import composite_keys, compress
 from .csr import CSR, INDEX_DTYPE, VALUE_DTYPE
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "mask",
     "scale",
     "prune",
+    "keep_entries",
     "pattern",
     "frobenius_norm",
     "diag_vector",
@@ -33,15 +35,27 @@ __all__ = [
 
 def _merge_keys(a: CSR, b: CSR):
     """Composite (row, col) keys of both matrices for set-style merging."""
-    cols = np.int64(max(a.cols, 1))
-    ka = a.row_ids() * cols + a.indices
-    kb = b.row_ids() * cols + b.indices
-    return ka, kb, cols
+    return (
+        composite_keys(a.row_ids(), a.indices, a.shape),
+        composite_keys(b.row_ids(), b.indices, b.shape),
+    )
 
 
 def _check_same_shape(a: CSR, b: CSR) -> None:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+
+
+def keep_entries(a: CSR, keep: np.ndarray, data: Optional[np.ndarray] = None) -> CSR:
+    """The entries of ``A`` where the per-entry flag ``keep`` is set.
+
+    ``data`` gives the kept entries' values (default: their values in A).
+    """
+    kept = np.zeros(a.nnz + 1, dtype=INDEX_DTYPE)
+    np.cumsum(keep, out=kept[1:])
+    if data is None:
+        data = a.data[keep]
+    return CSR(kept[a.indptr], a.indices[keep], data, a.shape, check=False)
 
 
 def add(a: CSR, b: CSR, alpha: float = 1.0, beta: float = 1.0) -> CSR:
@@ -51,31 +65,9 @@ def add(a: CSR, b: CSR, alpha: float = 1.0, beta: float = 1.0) -> CSR:
     with the SpGEMM kernels, which fix structure symbolically).
     """
     _check_same_shape(a, b)
-    ka, kb, _ = _merge_keys(a, b)
-    keys = np.concatenate([ka, kb])
+    ka, kb = _merge_keys(a, b)
     vals = np.concatenate([alpha * a.data, beta * b.data])
-    order = np.argsort(keys, kind="stable")
-    keys, vals = keys[order], vals[order]
-    if keys.size == 0:
-        return CSR(
-            np.zeros(a.rows + 1, dtype=INDEX_DTYPE),
-            np.empty(0, dtype=INDEX_DTYPE),
-            np.empty(0, dtype=VALUE_DTYPE),
-            a.shape,
-            check=False,
-        )
-    new_run = np.empty(keys.size, dtype=bool)
-    new_run[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=new_run[1:])
-    starts = np.flatnonzero(new_run)
-    out_vals = np.add.reduceat(vals, starts)
-    uniq = keys[starts]
-    rows = uniq // max(a.cols, 1)
-    cols = uniq % max(a.cols, 1)
-    indptr = np.zeros(a.rows + 1, dtype=INDEX_DTYPE)
-    indptr[1:] = np.bincount(rows, minlength=a.rows)
-    np.cumsum(indptr, out=indptr)
-    return CSR(indptr, cols, out_vals, a.shape, check=False)
+    return compress(np.concatenate([ka, kb]), vals, a.shape)
 
 
 def subtract(a: CSR, b: CSR) -> CSR:
@@ -86,24 +78,12 @@ def subtract(a: CSR, b: CSR) -> CSR:
 def hadamard(a: CSR, b: CSR) -> CSR:
     """Element-wise product ``A ∘ B`` (structural intersection)."""
     _check_same_shape(a, b)
-    ka, kb, _ = _merge_keys(a, b)
+    ka, kb = _merge_keys(a, b)
     # intersect via sorted search: both key arrays are already sorted
     # (CSR order is row-major/column-minor).
-    pos = np.searchsorted(kb, ka)
-    pos = np.minimum(pos, max(kb.size - 1, 0))
-    match = (kb.size > 0) & (ka.size > 0)
-    if not match:
-        hit = np.zeros(ka.size, dtype=bool)
-    else:
-        hit = kb[pos] == ka
-    rows_a = a.row_ids()[hit]
-    cols_a = a.indices[hit]
-    vals = a.data[hit] * b.data[pos[hit]]
-    indptr = np.zeros(a.rows + 1, dtype=INDEX_DTYPE)
-    if rows_a.size:
-        indptr[1:] = np.bincount(rows_a, minlength=a.rows)
-    np.cumsum(indptr, out=indptr)
-    return CSR(indptr, cols_a, vals, a.shape, check=False)
+    pos = np.minimum(np.searchsorted(kb, ka), max(kb.size - 1, 0))
+    hit = kb[pos] == ka if kb.size else np.zeros(ka.size, dtype=bool)
+    return keep_entries(a, hit, a.data[hit] * b.data[pos[hit]])
 
 
 def mask(a: CSR, m: CSR) -> CSR:
@@ -140,12 +120,7 @@ def prune(a: CSR, predicate: Callable[[np.ndarray], np.ndarray] = None, *, tol: 
     keep = np.asarray(keep, dtype=bool)
     if keep.size != a.nnz:
         raise ValueError("predicate must return one flag per entry")
-    rows = a.row_ids()[keep]
-    indptr = np.zeros(a.rows + 1, dtype=INDEX_DTYPE)
-    if rows.size:
-        indptr[1:] = np.bincount(rows, minlength=a.rows)
-    np.cumsum(indptr, out=indptr)
-    return CSR(indptr, a.indices[keep], a.data[keep], a.shape, check=False)
+    return keep_entries(a, keep)
 
 
 def frobenius_norm(a: CSR) -> float:

@@ -135,7 +135,7 @@ def test_confidence_bound_holds_at_stated_rate():
     for t in range(trials):
         a = gen.random_uniform(320, 320, 4.0, seed=t)
         b = gen.random_uniform(320, 320, 4.0, seed=10_000 + t)
-        est = estimate_multiply(a, b, seed=t, confidence=0.9)
+        est = estimate_multiply(a, b, seed=t)
         assert est.sample_size < est.rows
         exact_c = MultiplyContext(a, b).c.nnz
         exact_p = int(_row_products(a, b).sum())

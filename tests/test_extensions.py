@@ -177,3 +177,15 @@ class TestMultiGpu:
         res = multigpu_multiply(a, a, 3, compute_result=False)
         assert len(res.device_times) == 3
         assert all(t >= 0 for t in res.device_times)
+
+    def test_more_devices_than_rows(self):
+        """Devices left without rows stack nothing into C."""
+        from repro.kernels import esc_multiply
+
+        a = banded(3, 1, seed=12)
+        res = multigpu_multiply(a, a, 6)
+        want = esc_multiply(a, a)
+        assert res.valid and res.device_times.count(0.0) == 3
+        assert np.array_equal(res.c.indptr, want.indptr)
+        assert np.array_equal(res.c.indices, want.indices)
+        assert res.c.data.tobytes() == want.data.tobytes()

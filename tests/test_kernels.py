@@ -13,7 +13,13 @@ from repro.kernels import (
     row_products,
     symbolic_row_nnz,
 )
-from repro.matrices import generators
+from repro.kernels.reference import (
+    composite_keys,
+    compress,
+    distinct_per_segment,
+    key_dtype,
+)
+from repro.matrices import generators, ops
 from repro.matrices.csr import CSR, csr_identity, csr_zeros
 
 from conftest import csr_matrices, random_csr
@@ -204,3 +210,103 @@ class TestSymbolicRowNnz:
             symbolic_row_nnz(a, b)[0] = 1
         with pytest.raises(ValueError):
             symbolic_row_nnz(csr_zeros((3, 3)), csr_zeros((3, 3)))[0] = 1
+
+
+def _assert_same_csr(got: CSR, want: CSR) -> None:
+    """Bit-for-bit equality of two CSR matrices, dtypes included."""
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype, name
+        assert g.tobytes() == w.tobytes(), name
+
+
+class TestSharedKernels:
+    """The sort-and-compress kernels every exact product goes through,
+    against oracles that do not use them."""
+
+    @pytest.mark.parametrize(
+        "rows, width, dtype",
+        [
+            (1, 2**31 - 1, np.int32),
+            (2**16, 2**15, np.int64),  # 2**31
+            (2, 2**62, np.int64),  # 2**63: the largest key is 2**63 - 1
+        ],
+    )
+    def test_key_dtype_boundaries(self, rows, width, dtype):
+        assert key_dtype(rows, width) is dtype
+
+    @pytest.mark.parametrize(
+        "rows, width", [(2, 2**62 + 1), (5, 2**62), (2**32, 2**32)]
+    )
+    def test_key_dtype_refuses_keys_beyond_int64(self, rows, width):
+        with pytest.raises(ValueError):
+            key_dtype(rows, width)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=st.integers(min_value=0, max_value=12),
+        cols=st.sampled_from([0, 1, 2, 7, 40]),
+        nnz=st.integers(min_value=0, max_value=60),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_compress_matches_from_coo(self, rows, cols, nnz, seed):
+        """Random COO input with duplicate keys and empty rows; the values
+        are signed so a different fold order would change their sums."""
+        if rows == 0 or cols == 0:
+            nnz = 0
+        rng = np.random.default_rng(seed)
+        r = 2 * rng.integers(0, max((rows + 1) // 2, 1), nnz)  # odd rows stay empty
+        c = rng.integers(0, max(min(cols, 3), 1), nnz)  # few columns: keys repeat
+        v = rng.standard_normal(nnz) * 10.0 ** rng.integers(-8, 8, nnz)
+        shape = (rows, cols)
+        got = compress(composite_keys(r, c, shape), v, shape)
+        _assert_same_csr(got, CSR.from_coo(r, c, v, shape))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(min_value=0, max_value=9), max_size=8),
+        width=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_distinct_per_segment_matches_unique(self, sizes, width, seed):
+        rng = np.random.default_rng(seed)
+        segments = [rng.integers(0, width, n) for n in sizes]
+        offsets = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+        keys = np.concatenate(
+            [np.empty(0, dtype=np.int64)]
+            + [seg + i * width for i, seg in enumerate(segments)]
+        ).astype(key_dtype(len(sizes), width))
+        got = distinct_per_segment(keys, offsets)
+        assert got.dtype == np.int64
+        assert got.tolist() == [len(np.unique(seg)) for seg in segments]
+
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [
+            (2**16, 2**15 - 1),  # int32 keys
+            (2**16, 2**15 + 1),  # int64 keys
+            (2, 2**62),  # rows * cols == 2**63
+        ],
+    )
+    def test_esc_matches_from_coo_at_key_width_limits(self, rows, cols):
+        a, b = _sparse_corner(rows, 64, cols)
+        c = esc_multiply(a, b)
+        assert c.indices[-1] == cols - 1 and c.row_nnz()[-1] >= 2
+        _assert_same_csr(c, CSR.from_coo(*expand_products(a, b), (rows, cols)))
+
+    def test_keys_beyond_int64_raise_instead_of_aliasing_rows(self):
+        """A 5 x 2**62 product: row 4's keys wrapped onto row 0's, so the
+        exact product, the symbolic pass and ``ops.add`` returned a wrong
+        C without an error."""
+        a = CSR.from_coo([0, 4], [0, 0], [1.0, 10.0], (5, 1))
+        b = CSR.from_coo([0, 0], [0, 2**62 - 1], [1.0, 2.0], (1, 2**62))
+        c = CSR.from_coo([0, 4], [0, 2**62 - 1], [1.0, 2.0], (5, 2**62))
+        for run in (
+            lambda: esc_multiply(a, b),
+            lambda: symbolic_row_nnz(a, b),
+            lambda: ops.add(c, c),
+            lambda: ops.hadamard(c, c),
+        ):
+            with pytest.raises(ValueError, match="int64"):
+                run()

@@ -11,6 +11,7 @@ from repro.matrices.ops import (
     diag_vector,
     frobenius_norm,
     hadamard,
+    keep_entries,
     mask,
     pattern,
     prune,
@@ -103,6 +104,18 @@ class TestScalePrune:
         out = prune(a, predicate=lambda v: v > 0)
         assert np.all(out.data > 0)
         out.validate()
+
+    @settings(max_examples=50, deadline=None)
+    @given(csr_matrices())
+    def test_keep_entries_matches_from_coo(self, a):
+        keep = np.arange(a.nnz) % 3 != 1
+        rows, cols, vals = a.row_ids()[keep], a.indices[keep], a.data[keep]
+        for data in (None, -vals):
+            got = keep_entries(a, keep, data)
+            want = CSR.from_coo(rows, cols, vals if data is None else data, a.shape)
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert got.data.tobytes() == want.data.tobytes()
 
     def test_prune_bad_predicate(self, rng):
         a = random_csr(rng, 4, 4, 0.5)
