@@ -15,6 +15,9 @@ them to ``BENCH_core.json``:
 * **exact product** — ``esc_multiply`` and ``symbolic_row_nnz`` on
   ``rmat(12, 16)`` squared (median and quartiles), the shared
   sort-and-compress kernels of every exact CSR product;
+* **makespan** — ``makespan_cycles`` list-scheduling 90,000 seeded
+  lognormal block costs onto 640 slots (median and quartiles), about
+  the size of the paper sweep's largest simulated launches;
 * **suite path** — `run_suite` end to end, sequentially and on the
   fork-based process pool.  The requested worker count is
   clamped to the CPU count and reported as ``effective_workers``; on a
@@ -65,7 +68,7 @@ from repro.core import MultiplyContext, build_configs, speck_multiply
 from repro.core.batch_execute import execute_batched, execute_scalar
 from repro.core.params import DEFAULT_PARAMS
 from repro.eval import effective_workers, full_corpus, run_suite, small_corpus
-from repro.gpu import TITAN_V
+from repro.gpu import TITAN_V, makespan_cycles
 from repro.kernels import esc_multiply, row_products, symbolic_row_nnz
 
 
@@ -76,6 +79,24 @@ def _best_of(fn, repeats: int) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def _quartiles(times: List[float]) -> Dict[str, object]:
+    """Median, quartiles and IQR of ``times`` in seconds."""
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return {"median_s": median, "q1_s": q1, "q3_s": q3, "iqr_s": q3 - q1,
+            "samples": len(times)}
+
+
+def _single_call_samples(fn, samples: int) -> List[float]:
+    """Wall-clock of ``samples`` calls of ``fn``, after one warm-up call."""
+    fn()
+    times = []
+    for _ in range(samples):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return times
 
 
 def bench_execute(cases, repeats: int) -> Dict[str, object]:
@@ -225,17 +246,10 @@ def bench_cold_pass(repeats: int) -> Dict[str, object]:
     sweep()  # warm-up (per-config tables)
     # A sweep takes tens of milliseconds, and one preempted sweep is
     # noise: each sample is the best of three sweeps.
-    times = [_best_of(sweep, 3) for _ in range(max(repeats, 15))]
-    q1, median, q3 = statistics.quantiles(times, n=4)
-    return {
-        "median_s": median,
-        "q1_s": q1,
-        "q3_s": q3,
-        "iqr_s": q3 - q1,
-        "per_call_us": median / len(passes) * 1e6,
-        "calls": len(passes),
-        "samples": len(times),
-    }
+    entry = _quartiles([_best_of(sweep, 3) for _ in range(max(repeats, 15))])
+    entry["per_call_us"] = entry["median_s"] / len(passes) * 1e6
+    entry["calls"] = len(passes)
+    return entry
 
 
 def bench_exact_product(repeats: int) -> Dict[str, object]:
@@ -251,15 +265,24 @@ def bench_exact_product(repeats: int) -> Dict[str, object]:
     a = rmat(12, 16, seed=0)
     entry: Dict[str, object] = {"products": int(row_products(a, a).sum())}
     for fn in (esc_multiply, symbolic_row_nnz):
-        fn(a, a)  # warm-up
-        times = []
-        for _ in range(max(repeats, 7)):
-            t0 = time.perf_counter()
-            fn(a, a)
-            times.append(time.perf_counter() - t0)
-        q1, median, q3 = statistics.quantiles(times, n=4)
-        entry[fn.__name__] = {"median_s": median, "q1_s": q1, "q3_s": q3,
-                              "iqr_s": q3 - q1, "samples": len(times)}
+        entry[fn.__name__] = _quartiles(
+            _single_call_samples(lambda: fn(a, a), max(repeats, 7)))
+    return entry
+
+
+def bench_makespan(repeats: int) -> Dict[str, object]:
+    """Wall-clock of ``makespan_cycles`` on a suite-sized launch.
+
+    90,000 lognormal block costs (seed 0) list-scheduled onto 640 slots:
+    a little above the paper sweep's largest simulated launch (80,000
+    blocks), at its most common concurrency.  A call takes tens of
+    milliseconds, so a sample is one call.  Reports the median and
+    quartiles of ``max(repeats, 15)`` samples.
+    """
+    costs = np.random.default_rng(0).lognormal(8.0, 1.0, 90_000)
+    entry = _quartiles(_single_call_samples(
+        lambda: makespan_cycles(costs, 640), max(repeats, 15)))
+    entry.update(blocks=costs.size, concurrency=640)
     return entry
 
 
@@ -450,6 +473,7 @@ def main(argv: List[str] | None = None) -> int:
         "estimate": timed("estimate", bench_estimate, make_cases(), args.repeats),
         "cold_pass": timed("cold_pass", bench_cold_pass, args.repeats),
         "exact_product": timed("exact_product", bench_exact_product, args.repeats),
+        "makespan": timed("makespan", bench_makespan, args.repeats),
         "suite": timed("suite", bench_suite, make_cases, args.workers),
     }
 
@@ -479,6 +503,10 @@ def main(argv: List[str] | None = None) -> int:
           + ", ".join(f"{name} median {xp[name]['median_s'] * 1e3:.0f} ms "
                       f"(IQR {xp[name]['iqr_s'] * 1e3:.0f} ms)"
                       for name in ("esc_multiply", "symbolic_row_nnz")))
+    mk = report["makespan"]
+    print(f"makespan: {mk['blocks']} blocks on {mk['concurrency']} slots, "
+          f"median {mk['median_s'] * 1e3:.1f} ms "
+          f"(IQR {mk['iqr_s'] * 1e3:.1f} ms)")
     if "skipped" in su:
         print(f"suite:   sequential {su['sequential_s']:.3f}s; parallel leg "
               f"skipped ({su['skipped']}, effective_workers="

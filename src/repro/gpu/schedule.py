@@ -47,17 +47,19 @@ def makespan_cycles(block_cycles: np.ndarray, concurrency: int) -> float:
         raise ValueError("concurrency must be positive")
     if block_cycles.size <= concurrency:
         return float(block_cycles.max())
-    total = float(block_cycles.sum())
-    longest = float(block_cycles.max())
     if block_cycles.size > _EXACT_LIMIT:
-        return max(total / concurrency, longest)
-    # Exact greedy simulation with a min-heap of slot finish times.
-    slots = list(block_cycles[:concurrency])
+        total = float(block_cycles.sum())
+        return max(total / concurrency, float(block_cycles.max()))
+    # Exact greedy simulation with a min-heap of slot finish times: each
+    # block replaces the earliest finish time ``t`` with ``t + cost``.
+    # Python floats add exactly as float64 scalars do, and compare and
+    # allocate far faster.
+    costs = block_cycles.tolist()
+    slots = costs[:concurrency]
     heapq.heapify(slots)
-    for c in block_cycles[concurrency:]:
-        earliest = heapq.heappop(slots)
-        heapq.heappush(slots, earliest + float(c))
-    return float(max(slots))
+    for c in costs[concurrency:]:
+        heapq.heapreplace(slots, slots[0] + c)
+    return max(slots)
 
 
 def grouped_kernel_times(

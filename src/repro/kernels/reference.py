@@ -21,7 +21,18 @@ Every exact product in the package sorts composite keys
 keys into CSR for :func:`esc_multiply`, ``matrices.ops.add`` and
 ``graph.masked.MaskedContext``; :func:`distinct_per_segment` counts
 distinct keys per row for :func:`symbolic_row_nnz` and the sampled
-symbolic pass of ``estimate.sampler``.  The oracles stay independent of
+symbolic pass of ``estimate.sampler``.
+
+Two more width rules keep those passes narrow.  The positions that
+gather each product's B entry (:func:`row_positions`) are int32
+while both the product count and ``b.nnz`` stay below ``2**31``
+(:func:`position_dtype`), int64 beyond.  :func:`compress` orders its
+keys through :func:`sort_keys`: when the bits of the largest key plus
+the bits of the largest index fit in 63, it sorts the packed int64
+``(key << index_bits) | index`` with ``np.sort``, whose ties fall in
+index order exactly as a stable sort's do; wider keys take the stable
+argsort.  Either way every sum adds its terms in input order, so the
+results are bit-identical.  The oracles stay independent of
 them: :func:`gustavson_multiply`, ``CSR.from_coo`` (a two-key lexsort,
 correct at any shape), ``core.analysis.analyze``, the executable
 accumulators of ``core.batch_execute`` and everything in ``repro.check``.
@@ -33,7 +44,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..matrices.csr import CSR, INDEX_DTYPE, VALUE_DTYPE, csr_zeros, expand_ranges
+from ..matrices.csr import CSR, INDEX_DTYPE, VALUE_DTYPE, csr_zeros
 
 __all__ = [
     "row_products",
@@ -43,7 +54,10 @@ __all__ = [
     "gustavson_multiply",
     "count_flops",
     "key_dtype",
+    "position_dtype",
+    "row_positions",
     "composite_keys",
+    "sort_keys",
     "compress",
     "distinct_per_segment",
 ]
@@ -63,11 +77,8 @@ def row_products(a: CSR, b: CSR) -> np.ndarray:
     Algorithm 1 computes in its inner loop, vectorised over all of A.
     """
     _check_shapes(a, b)
-    b_row_nnz = b.row_nnz()
-    per_entry = b_row_nnz[a.indices]
     # Segment sums via prefix sums: robust to empty rows, no scatter needed.
-    cs = np.zeros(per_entry.size + 1, dtype=np.int64)
-    np.cumsum(per_entry, out=cs[1:])
+    cs = _offsets(b.row_nnz()[a.indices])
     return cs[a.indptr[1:]] - cs[a.indptr[:-1]]
 
 
@@ -86,13 +97,47 @@ def expand_products(
     ``(i, j, A_ik * B_kj)``.  This is the "expand" stage of ESC.
     """
     _check_shapes(a, b)
-    b_row_nnz = b.row_nnz()
-    counts = b_row_nnz[a.indices]  # products contributed by each NZ of A
+    counts = b.row_nnz()[a.indices]  # products contributed by each NZ of A
     out_rows = np.repeat(a.row_ids(), counts)
-    gather = expand_ranges(b.indptr[a.indices], counts)
+    gather = row_positions(b, a.indices, counts, _offsets(counts))
     out_cols = b.indices[gather]
     out_vals = np.repeat(a.data, counts) * b.data[gather]
     return out_rows, out_cols, out_vals
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """Prefix sums of ``counts`` after a leading 0 (``counts.size + 1``, int64)."""
+    off = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=off[1:])
+    return off
+
+
+def position_dtype(n_positions: int, extent: int) -> type:
+    """Integer type of ``n_positions`` gather positions into ``extent`` entries.
+
+    int32 when both are below ``2**31``: every position, every range
+    start and every running range offset then fits, and building and
+    gathering through 4-byte positions moves half the bytes.  int64
+    otherwise.
+    """
+    return np.int32 if max(int(n_positions), int(extent)) < 2**31 else np.int64
+
+
+def row_positions(
+    m: CSR, rows: np.ndarray, counts: np.ndarray, off: np.ndarray
+) -> np.ndarray:
+    """Positions in ``m``'s entry arrays of the entries of ``rows``, in order.
+
+    ``counts = m.row_nnz()[rows]`` and ``off`` their prefix sums after a
+    leading 0.  ``off`` is the running range begin ``expand_ranges``
+    would recompute, so the rows expand in one repeat and one add, in
+    :func:`position_dtype` positions.
+    """
+    n = int(off[-1])
+    pd = position_dtype(n, m.nnz)
+    pos = np.repeat((m.indptr[rows] - off[:-1]).astype(pd), counts)
+    pos += np.arange(n, dtype=pd)
+    return pos
 
 
 def key_dtype(n_rows: int, width: int) -> type:
@@ -129,6 +174,30 @@ def composite_keys(
     return keys
 
 
+def sort_keys(keys: np.ndarray, span: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(keys[order], order)`` for the stable ascending ``order`` of ``keys``.
+
+    Every key lies in ``[0, span)``.  When the bits of the largest key
+    ``span - 1`` plus the bits of the largest index fit in 63, each key
+    is packed with its index as ``(key << index_bits) | index`` and the
+    one int64 array is sorted with ``np.sort``: equal keys then order by
+    index, exactly as a stable sort orders them, and the unstable sort
+    of one array beats a stable argsort.  Wider keys take the stable
+    argsort.
+    """
+    index_bits = (keys.size - 1).bit_length() if keys.size else 0
+    if (int(span) - 1).bit_length() + index_bits <= 63:
+        packed = keys.astype(np.int64)
+        packed <<= index_bits
+        packed |= np.arange(keys.size, dtype=np.int64)
+        packed.sort()
+        order = packed & ((1 << index_bits) - 1)
+        packed >>= index_bits
+        return packed, order
+    order = np.argsort(keys, kind="stable")
+    return keys[order], order
+
+
 def compress(keys: np.ndarray, vals: np.ndarray, shape: Tuple[int, int]) -> CSR:
     """Sum the values of equal composite keys into a sorted CSR matrix.
 
@@ -140,8 +209,7 @@ def compress(keys: np.ndarray, vals: np.ndarray, shape: Tuple[int, int]) -> CSR:
     if keys.size == 0:
         return csr_zeros(shape)
     n_rows, width = shape
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
+    keys, order = sort_keys(keys, n_rows * width)
     new_run = np.empty(keys.size, dtype=bool)
     new_run[0] = True
     np.not_equal(keys[1:], keys[:-1], out=new_run[1:])
@@ -159,16 +227,16 @@ def distinct_per_segment(keys: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
     Every key of a segment must be smaller than every key of the next
     (row-tagged composite keys are), so one global sort keeps each
-    segment in place.  Sorts ``keys`` in place; returns int64 counts.
+    segment in place, and each non-empty segment starts a run of equal
+    keys: a segment's distinct keys are the run starts inside it.
+    Sorts ``keys`` in place; returns int64 counts.
     """
     keys.sort()
     first = np.empty(keys.size, dtype=bool)
     first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    distinct = np.zeros(keys.size + 1, dtype=np.int64)
-    np.cumsum(first, out=distinct[1:])
-    bounds = distinct[offsets]
-    return bounds[1:] - bounds[:-1]
+    bounds = np.searchsorted(np.flatnonzero(first), offsets)
+    return (bounds[1:] - bounds[:-1]).astype(np.int64, copy=False)
 
 
 def esc_multiply(a: CSR, b: CSR) -> CSR:
@@ -197,13 +265,16 @@ def symbolic_row_nnz(a: CSR, b: CSR) -> np.ndarray:
     """
     _check_shapes(a, b)
     counts = b.row_nnz()[a.indices]
-    entry_off = np.zeros(counts.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=entry_off[1:])
+    entry_off = _offsets(counts)
+    row_off = entry_off[a.indptr]
     kd = key_dtype(a.rows, b.cols)
+    # Gather the columns already in the key type: no wide temporary.
+    keys = b.indices.astype(kd, copy=False)[
+        row_positions(b, a.indices, counts, entry_off)
+    ]
     row_keys = (np.arange(a.rows, dtype=np.int64) * b.cols).astype(kd)
-    keys = np.repeat(np.repeat(row_keys, a.row_nnz()), counts)
-    keys += b.indices[expand_ranges(b.indptr[a.indices], counts)]
-    out = distinct_per_segment(keys, entry_off[a.indptr])
+    keys += np.repeat(row_keys, row_off[1:] - row_off[:-1])
+    out = distinct_per_segment(keys, row_off)
     out.flags.writeable = False
     return out
 

@@ -123,7 +123,43 @@ class TestBlockCycles:
         assert c_small < c_big
 
 
+def _list_schedule(costs, m):
+    """Greedy list scheduling in O(n * m), independent of the heap: each
+    block in order goes to the first slot with the smallest finish time."""
+    finish = [0.0] * m
+    for c in costs:
+        slot = finish.index(min(finish))
+        finish[slot] += c
+    return max(finish)
+
+
 class TestMakespan:
+    @pytest.mark.parametrize(
+        "costs, m",
+        [
+            ([7.0] * 10, 3),  # every dispatch ties
+            ([2.0, 2.0, 1.0, 1.0, 3.0, 3.0, 1.0], 2),
+            ([0.0, 5.0, 0.0, 2.5, 0.1, 0.2], 3),  # zero-cost blocks tie at 0
+            ([0.1, 0.2, 0.3, 1e16, 1.0, -0.0, 3.3], 1),  # one slot: a running sum
+            ([1.5, 2.5, 3.5, 0.5], 4),  # size == concurrency
+            ([1.5, 2.5, 3.5, 0.5, 0.25], 4),  # size == concurrency + 1
+            ([0.1] * 9 + [0.7], 4),
+        ],
+    )
+    def test_matches_list_schedule_oracle(self, costs, m):
+        assert makespan_cycles(np.array(costs), m) == _list_schedule(costs, m)
+
+    @given(
+        st.lists(
+            st.floats(min_value=0.0, max_value=1e12, allow_subnormal=False),
+            max_size=120,
+        ),
+        st.integers(min_value=1, max_value=24),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_list_schedule_oracle_on_drawn_costs(self, costs, m):
+        assert makespan_cycles(np.array(costs), m) == _list_schedule(costs, m)
+
     def test_empty(self):
         assert makespan_cycles(np.array([]), 10) == 0.0
 

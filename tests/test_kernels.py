@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.kernels import (
@@ -13,14 +13,18 @@ from repro.kernels import (
     row_products,
     symbolic_row_nnz,
 )
+from repro.kernels import reference
 from repro.kernels.reference import (
     composite_keys,
     compress,
     distinct_per_segment,
     key_dtype,
+    position_dtype,
+    row_positions,
+    sort_keys,
 )
 from repro.matrices import generators, ops
-from repro.matrices.csr import CSR, csr_identity, csr_zeros
+from repro.matrices.csr import CSR, csr_identity, csr_zeros, expand_ranges
 
 from conftest import csr_matrices, random_csr
 
@@ -269,17 +273,86 @@ class TestSharedKernels:
         width=st.integers(min_value=1, max_value=6),
         seed=st.integers(min_value=0, max_value=2**16),
     )
+    @example(sizes=[], width=3, seed=0)
+    @example(sizes=[0, 0, 0], width=3, seed=0)
+    @example(sizes=[0, 4, 0, 0, 5, 0], width=2, seed=1)
     def test_distinct_per_segment_matches_unique(self, sizes, width, seed):
+        """Empty segments included, offsets in both position widths."""
         rng = np.random.default_rng(seed)
         segments = [rng.integers(0, width, n) for n in sizes]
+        want = [len(np.unique(seg)) for seg in segments]
         offsets = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
-        keys = np.concatenate(
-            [np.empty(0, dtype=np.int64)]
-            + [seg + i * width for i, seg in enumerate(segments)]
-        ).astype(key_dtype(len(sizes), width))
-        got = distinct_per_segment(keys, offsets)
-        assert got.dtype == np.int64
-        assert got.tolist() == [len(np.unique(seg)) for seg in segments]
+        for pd in (np.int32, np.int64):
+            keys = np.concatenate(
+                [np.empty(0, dtype=np.int64)]
+                + [seg + i * width for i, seg in enumerate(segments)]
+            ).astype(key_dtype(len(sizes), width))
+            got = distinct_per_segment(keys, offsets.astype(pd))
+            assert got.dtype == np.int64
+            assert got.tolist() == want
+
+    @pytest.mark.parametrize(
+        "n_positions, extent, dtype",
+        [
+            (2**31 - 1, 2**31 - 1, np.int32),
+            (0, 0, np.int32),
+            (2**31, 0, np.int64),
+            (0, 2**31, np.int64),
+            (2**31 - 1, 2**31, np.int64),
+        ],
+    )
+    def test_position_dtype_boundaries(self, n_positions, extent, dtype):
+        assert position_dtype(n_positions, extent) is dtype
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_row_positions_match_expand_ranges(self, small_pairs, wide, monkeypatch):
+        """Both position widths; the int64 side is forced, since reaching it
+        for real takes 2**31 entries."""
+        if wide:
+            monkeypatch.setattr(reference, "position_dtype", lambda n, e: np.int64)
+        pairs = small_pairs + [(csr_zeros((3, 4)), csr_zeros((4, 5)))]
+        for a, b in pairs:
+            counts = b.row_nnz()[a.indices]
+            off = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+            got = row_positions(b, a.indices, counts, off)
+            assert got.dtype == (np.int64 if wide else np.int32)
+            want = expand_ranges(b.indptr[a.indices], counts)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("key_bits, packed", [(60, True), (61, False)])
+    def test_sort_keys_packs_only_within_63_bits(self, key_bits, packed, monkeypatch):
+        """Eight keys take three index bits: 60 + 3 bits pack into one
+        int64, 61 + 3 do not.  The largest key occurs three times and the
+        smallest twice, so the tie order shows."""
+        span = 2**key_bits
+        keys = np.array(
+            [span - 1, 5, 0, span - 1, 2**40, 0, span - 1, 5], dtype=np.int64
+        )
+        want = np.argsort(keys, kind="stable")
+        argsorts = []
+        real_argsort = np.argsort
+
+        def spy(*args, **kwargs):
+            argsorts.append(kwargs)
+            return real_argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        sorted_keys, order = sort_keys(keys, span)
+        assert bool(argsorts) is not packed
+        assert order.tolist() == want.tolist()
+        assert sorted_keys.tolist() == keys[want].tolist()
+
+    @pytest.mark.parametrize("key_bits", [60, 61])
+    def test_compress_matches_from_coo_at_the_packing_limit(self, key_bits):
+        """Both sides of the 63-bit packing rule, with duplicates of the
+        largest key ``2 * width - 1`` and signed values."""
+        shape = (2, 2 ** (key_bits - 1))
+        width = shape[1]
+        r = np.array([1, 0, 1, 0, 1, 1, 0, 1])
+        c = np.array([width - 1, 3, width - 1, 0, 0, width - 1, 3, 2**30])
+        v = np.array([1e16, 2.0, 1.0, -3.0, 4.0, -1e16, 5e-8, 7.0])
+        got = compress(composite_keys(r, c, shape), v, shape)
+        _assert_same_csr(got, CSR.from_coo(r, c, v, shape))
 
     @pytest.mark.parametrize(
         "rows, cols",
