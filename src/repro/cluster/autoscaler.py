@@ -137,6 +137,10 @@ class Autoscaler:
         Zero-argument callable returning the fleet's current latency
         p99 in virtual seconds (cumulative over the run: this signal
         can only *raise* pressure, so scale-down keys off queues alone).
+    metrics:
+        Fleet metrics that receive the hydration and push transfer
+        histograms.  The scale counts are :attr:`events`, and the push
+        count is the plan index's ``proactive``.
     """
 
     def __init__(
@@ -159,7 +163,6 @@ class Autoscaler:
         self.joined: List[str] = []
         #: Names of nodes this autoscaler drained out, in leave order.
         self.drained: List[str] = []
-        self.proactive_replications = 0
         self._next_index = 1 + max(
             (_node_index(n) for n in router.nodes), default=-1
         )
@@ -226,9 +229,10 @@ class Autoscaler:
         self.events.append(
             ScaleEvent(now, "scale_up", name, reason, warm_plans, transfer_s)
         )
-        if self.metrics is not None:
-            self.metrics.scale_up()
-            self.metrics.warm_join(warm_plans, transfer_s)
+        if self.metrics is not None and transfer_s > 0.0:
+            self.metrics.registry.histogram(
+                "cluster.warm_join_s", "modelled hydration transfer seconds"
+            ).observe(transfer_s)
         return node
 
     def hydrate(self, node: ClusterNode) -> Tuple[int, float]:
@@ -284,8 +288,6 @@ class Autoscaler:
         self.drained.append(victim.name)
         self.last_scale_s = now
         self.events.append(ScaleEvent(now, "scale_down", victim.name, reason))
-        if self.metrics is not None:
-            self.metrics.scale_down()
         return stranded
 
     # ------------------------------------------------------------------
@@ -332,9 +334,11 @@ class Autoscaler:
                 if ok:
                     holders.append(target_name)
                     pushed += 1
-                    self.proactive_replications += 1
                     if self.metrics is not None:
-                        self.metrics.proactive_replication(transfer_s)
+                        self.metrics.registry.histogram(
+                            "cluster.plan_fetch_s",
+                            "modelled replica transfer seconds",
+                        ).observe(transfer_s)
         return pushed
 
     # ------------------------------------------------------------------
@@ -347,7 +351,7 @@ class Autoscaler:
             "joined": list(self.joined),
             "drained": list(self.drained),
             "warm_join_plans": sum(e.warm_plans for e in self.events),
-            "proactive_replications": self.proactive_replications,
+            "proactive_replications": self.router.plan_index.proactive,
             "events": [e.as_dict() for e in self.events],
         }
 

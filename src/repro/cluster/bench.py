@@ -260,28 +260,32 @@ class _FleetRun:
         stranded = sorted(
             self.scaler.evaluate(now), key=lambda r: (r.arrival_s, r.id)
         )
-        for _ in stranded:
-            self.fleet.rebalanced()
+        if stranded:
+            self.fleet.registry.counter(
+                "cluster.rebalanced",
+                "queued requests re-placed by a controlled scale-down drain",
+            ).inc(len(stranded))
         return stranded
 
     def arrive(self, req: Request) -> None:
         self.router.retry_budget.note_request()
 
     def route(self, req: Request, now: float) -> Optional[ClusterNode]:
-        node, how = self.router.place(req, now)
-        if node is not None:
-            self.fleet.placement(how)
-        return node
+        return self.router.place(req, now)[0]
 
     def before_dispatch(
         self, node: ClusterNode, now: float
     ) -> Optional[List[Request]]:
         node.dispatches += 1
         if node.scope.node_crash():
-            self.fleet.crash()
+            self.fleet.registry.counter(
+                "cluster.node_crashes", "whole-node crashes"
+            ).inc()
             return self.router.mark_down(node)
         if node.scope.node_degrade():
-            self.fleet.degrade()
+            self.fleet.registry.counter(
+                "cluster.node_degrades", "transient node degradations"
+            ).inc()
             node.degraded_until = max(
                 node.degraded_until, now + self.spec.degrade_duration_s
             )
@@ -299,8 +303,12 @@ class _FleetRun:
             plan, transfer_s = self.router.plan_index.fetch(key, node, self.nodes)
             fetched = plan is not None
             if fetched:
-                self.fleet.plan_fetch(transfer_s)
-        self.fleet.brownout(brownout.mode)
+                self.fleet.registry.counter(
+                    "cluster.plan_fetches", "plan replicas pulled on demand"
+                ).inc()
+                self.fleet.registry.histogram(
+                    "cluster.plan_fetch_s", "modelled replica transfer seconds"
+                ).observe(transfer_s)
         res = node.execute(req, brownout)
         if node.service.plans.peek(key) is not None:
             self.router.plan_index.note(key, node.name)
@@ -311,12 +319,8 @@ class _FleetRun:
         # degraded (slow) dispatch counts against it, so a persistently
         # sick node opens its breaker and stops receiving traffic until
         # the cooldown probe clears it.
-        breaker = self.router.breakers[node.name]
-        prev_state = breaker.state
         slow = node.degraded(now)
-        breaker.record(res.valid and not slow, now)
-        if breaker.state != prev_state:
-            self.fleet.breaker_transition(node.name, breaker.state)
+        self.router.breakers[node.name].record(res.valid and not slow, now)
         factor = self.spec.degrade_factor if slow else 1.0
         return res, res.time_s * factor + transfer_s
 
@@ -335,7 +339,6 @@ class _FleetRun:
             # The fleet-wide budget is exhausted: fail terminally instead
             # of feeding a retry storm.  Still a structured outcome —
             # conservation holds.
-            self.fleet.retry_denied()
             return FailureInfo(
                 kind="shed",
                 stage="retry_budget",
@@ -347,7 +350,9 @@ class _FleetRun:
                 retryable=False,
             )
         req.attempts += 1
-        self.fleet.retry(reason)
+        self.fleet.registry.counter(
+            f"cluster.retries_{reason}", f"re-placements after {reason}"
+        ).inc()
         return None
 
     def note_queue(self, node: ClusterNode) -> None:
@@ -532,7 +537,7 @@ def run_cluster_bench(
         if s_completed > 0:
             scaling = completed / s_completed
 
-    snap = run.fleet.aggregate(run.router, run.end_s)
+    snap = run.fleet.aggregate(run.router, run.end_s, run.scaler)
     autoscale_summary: Dict[str, object] = {}
     if run.scaler is not None:
         autoscale_summary = run.scaler.snapshot()

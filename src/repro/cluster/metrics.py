@@ -2,25 +2,64 @@
 
 Each :class:`~repro.cluster.node.ClusterNode` keeps its own
 :class:`~repro.serve.metrics.MetricsRegistry` (the node *is* a complete
-single-host service), and the cluster keeps one more for fleet-level
-events the nodes cannot see — placements, spills, failover retries,
-crashes, plan-replica fetches, end-to-end latency across whichever node
-served the request.  :meth:`FleetMetrics.aggregate` merges both views
-into the single JSON-stable snapshot that ``cluster-bench --json``
-emits: fleet p50/p95/p99, totals summed across nodes, per-node hit
-rates and shed counts, and the plan-index replication counters.
+single-host service), and the cluster keeps one more for the fleet facts
+no other layer tallies: crashes, degrades, retries per reason,
+rebalanced requests, on-demand plan fetches and every fleet histogram.
+The other fleet counters are derived in :meth:`FleetMetrics.aggregate`
+from the layer that owns each fact (router placements, node brownout
+rungs, breaker transitions, the retry budget, autoscaler events, plan
+index pushes), so a counter and its owner cannot disagree.  The merged
+snapshot is what ``cluster-bench --json`` emits: fleet p50/p95/p99,
+totals summed across nodes, per-node hit rates and shed counts, and the
+plan-index replication counters.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, TYPE_CHECKING
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from ..serve.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .autoscaler import Autoscaler
     from .router import ClusterRouter
 
 __all__ = ["FleetMetrics"]
+
+
+def _derived_counters(
+    router: "ClusterRouter",
+    brownouts: Dict[str, int],
+    scaler: Optional["Autoscaler"],
+) -> Dict[str, int]:
+    """The fleet counters read from the layer that owns each fact.
+
+    ``brownouts`` is the per-mode sum of the nodes' ``brownout_modes``:
+    fleet nodes dispatch one request at a time, so it is also the
+    per-request count.
+    """
+    out: Dict[str, int] = {
+        "cluster.placed_home": router.home_placements,
+        "cluster.placed_spill": router.spills,
+        "cluster.retries": router.retry_budget.spent,
+        "cluster.retry_denied": router.retry_budget.denied,
+        "cluster.proactive_replications": router.plan_index.proactive,
+    }
+    for mode, count in brownouts.items():
+        out[f"cluster.brownout_{mode}"] = count
+    for node, breaker in sorted(router.breakers.items()):
+        for state, count in breaker.transitions.items():
+            total = f"cluster.breaker_{state}"
+            out[total] = out.get(total, 0) + count
+            out[f"cluster.breaker_{state}_{node}"] = count
+    if scaler is not None:
+        ups = [e for e in scaler.events if e.action == "scale_up"]
+        out["cluster.scale_ups"] = len(ups)
+        out["cluster.scale_downs"] = len(scaler.events) - len(ups)
+    out = {name: count for name, count in out.items() if count}
+    if scaler is not None and out.get("cluster.scale_ups"):
+        out["cluster.warm_join_plans"] = sum(e.warm_plans for e in ups)
+    return out
 
 
 class FleetMetrics:
@@ -29,100 +68,24 @@ class FleetMetrics:
     def __init__(self) -> None:
         self.registry = MetricsRegistry()
 
-    # -- recording helpers (thin, named for grepability) -----------------
-    def placement(self, how: str) -> None:
-        self.registry.counter(
-            f"cluster.placed_{how}", f"requests placed via {how}"
-        ).inc()
-
-    def retry(self, reason: str) -> None:
-        self.registry.counter("cluster.retries", "requests re-placed").inc()
-        self.registry.counter(
-            f"cluster.retries_{reason}", f"re-placements after {reason}"
-        ).inc()
-
-    def crash(self) -> None:
-        self.registry.counter("cluster.node_crashes", "whole-node crashes").inc()
-
-    def degrade(self) -> None:
-        self.registry.counter(
-            "cluster.node_degrades", "transient node degradations"
-        ).inc()
-
-    def plan_fetch(self, transfer_s: float) -> None:
-        self.registry.counter(
-            "cluster.plan_fetches", "plan replicas pulled from peers"
-        ).inc()
-        self.registry.histogram(
-            "cluster.plan_fetch_s", "modelled replica transfer seconds"
-        ).observe(transfer_s)
-
-    def brownout(self, mode: str) -> None:
-        self.registry.counter(
-            f"cluster.brownout_{mode}", f"dispatches planned in {mode} mode"
-        ).inc()
-
-    def breaker_transition(self, node: str, state: str) -> None:
-        self.registry.counter(
-            f"cluster.breaker_{state}", f"breaker transitions into {state}"
-        ).inc()
-        self.registry.counter(
-            f"cluster.breaker_{state}_{node}",
-            f"breaker transitions into {state} on {node}",
-        ).inc()
-
-    def retry_denied(self) -> None:
-        self.registry.counter(
-            "cluster.retry_denied", "retries refused by the fleet budget"
-        ).inc()
-
-    def scale_up(self) -> None:
-        self.registry.counter(
-            "cluster.scale_ups", "nodes added by the autoscaler"
-        ).inc()
-
-    def scale_down(self) -> None:
-        self.registry.counter(
-            "cluster.scale_downs", "nodes drained out by the autoscaler"
-        ).inc()
-
-    def warm_join(self, plans: int, transfer_s: float) -> None:
-        self.registry.counter(
-            "cluster.warm_join_plans", "plans hydrated into joining nodes"
-        ).inc(plans)
-        if transfer_s > 0.0:
-            self.registry.histogram(
-                "cluster.warm_join_s", "modelled hydration transfer seconds"
-            ).observe(transfer_s)
-
-    def proactive_replication(self, transfer_s: float) -> None:
-        self.registry.counter(
-            "cluster.proactive_replications",
-            "hot plans pushed to spill targets ahead of demand",
-        ).inc()
-        self.registry.histogram(
-            "cluster.plan_fetch_s", "modelled replica transfer seconds"
-        ).observe(transfer_s)
-
-    def rebalanced(self) -> None:
-        self.registry.counter(
-            "cluster.rebalanced",
-            "queued requests re-placed by a controlled scale-down drain",
-        ).inc()
-
-    # ------------------------------------------------------------------
-    def aggregate(self, router: "ClusterRouter", now: float) -> Dict[str, object]:
+    def aggregate(
+        self,
+        router: "ClusterRouter",
+        now: float,
+        scaler: Optional["Autoscaler"] = None,
+    ) -> Dict[str, object]:
         """The fleet snapshot: cluster registry + rolled-up node stats.
 
         Covers the router's whole node map in name order: autoscaler
         joiners appear with their counters, and drained nodes stay
-        (state ``"drained"``) so their totals survive the rollup.
+        (state ``"drained"``) so their totals survive the rollup.  The
+        cluster counters are the registry's own plus those derived from
+        each fact's owner.
 
         Every node-registry counter is summed into
         ``fleet["node_counters"]`` *uniformly* — retry, backoff, brownout
         and any counter a future layer adds ride along without this
-        aggregation needing to learn their names.  (Earlier versions
-        special-cased a fixed list and silently dropped the rest.)
+        aggregation needing to learn their names.
         """
         per_node: List[Dict[str, object]] = [
             router.nodes[name].snapshot(now) for name in sorted(router.nodes)
@@ -145,6 +108,10 @@ class FleetMetrics:
         lat = self.registry.histogram(
             "cluster.latency_s", "arrival to completion, fleet-wide"
         )
+        cluster = self.registry.snapshot()
+        cluster["counters"].update(
+            _derived_counters(router, brownouts, scaler)
+        )
         return {
             "fleet": {
                 "nodes": len(per_node),
@@ -160,7 +127,7 @@ class FleetMetrics:
                 "plan_stores": stores_attached,
                 "plan_store_totals": dict(sorted(store_totals.items())),
             },
-            "cluster": self.registry.snapshot(),
+            "cluster": cluster,
             "plan_index": router.plan_index.snapshot(),
             "nodes": per_node,
             "breakers": router.breaker_snapshot(),

@@ -51,6 +51,8 @@ class PlanIndex:
 
     def __init__(self) -> None:
         self._where: Dict[PlanKey, List[str]] = {}
+        #: Replicas pulled through :meth:`fetch`: on-demand fetches of
+        #: spilled work and warm-join hydration pulls alike.
         self.fetches = 0
         self.fetched_bytes = 0
         self.misses = 0
@@ -106,32 +108,12 @@ class PlanIndex:
             holder = peers.get(holder_name)
             if holder is None or not holder.alive:
                 continue
-            if holder.plan_compat != requester.plan_compat:
+            copied = self._copy(key, holder, requester)
+            if copied is None:
                 continue
-            plan = holder.service.plans.peek(key)
-            if plan is None:
-                # The holder evicted since we recorded it; unregister.
-                self._where[key] = [
-                    n for n in self._where.get(key, ()) if n != holder_name
-                ]
-                continue
-            replica = replace(plan, hits=0)
-            if self._replica_hook is not None:
-                replica = self._replica_hook(replica)
-            try:
-                adopted = requester.service.plans.adopt(
-                    replica, expected_compat=requester.plan_compat
-                )
-            except PlanIntegrityError:
-                # A replica that no longer verifies (checksum drift, wrong
-                # compat stamp) is worse than a cold recompute: skip this
-                # holder and keep looking.
-                self.integrity_rejects += 1
-                continue
-            nbytes = adopted.nbytes()
+            adopted, nbytes = copied
             self.fetches += 1
             self.fetched_bytes += nbytes
-            self.note(key, requester.name)
             return adopted, plan_transfer_s(nbytes)
         self.misses += 1
         return None, 0.0
@@ -187,14 +169,36 @@ class PlanIndex:
         incompatible, the source no longer holds the plan, or the
         replica fails verification.
         """
-        if source.plan_compat != target.plan_compat:
+        copied = self._copy(key, source, target)
+        if copied is None:
             return False, 0.0
+        nbytes = copied[1]
+        self.proactive += 1
+        self.proactive_bytes += nbytes
+        return True, plan_transfer_s(nbytes)
+
+    def _copy(
+        self, key: PlanKey, source: "object", target: "object"
+    ) -> Optional[Tuple[CachedPlan, int]]:
+        """Adopt ``source``'s plan for ``key`` into ``target``'s cache.
+
+        The replica path :meth:`fetch` and :meth:`replicate` share: the
+        compat gate; a source that evicted the plan is unregistered; the
+        replica is a shallow copy with its own hit counter; a replica
+        that no longer verifies (checksum drift, wrong compat stamp) is
+        refused and counted in :attr:`integrity_rejects`, since it is
+        worse than a cold recompute.  On success ``target`` becomes a
+        holder.  Returns ``(adopted plan, its nbytes)`` or ``None``.
+        """
+        if source.plan_compat != target.plan_compat:
+            return None
         plan = source.service.plans.peek(key)
         if plan is None:
+            # The source evicted since we recorded it; unregister.
             self._where[key] = [
                 n for n in self._where.get(key, ()) if n != source.name
             ]
-            return False, 0.0
+            return None
         replica = replace(plan, hits=0)
         if self._replica_hook is not None:
             replica = self._replica_hook(replica)
@@ -204,12 +208,9 @@ class PlanIndex:
             )
         except PlanIntegrityError:
             self.integrity_rejects += 1
-            return False, 0.0
-        nbytes = adopted.nbytes()
-        self.proactive += 1
-        self.proactive_bytes += nbytes
+            return None
         self.note(key, target.name)
-        return True, plan_transfer_s(nbytes)
+        return adopted, adopted.nbytes()
 
     def snapshot(self) -> Dict[str, object]:
         return {

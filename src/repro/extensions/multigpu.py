@@ -49,10 +49,6 @@ LINK_BW = 45.0e9
 #: Per-transfer latency, seconds.
 LINK_LATENCY = 5.0e-6
 
-# Backwards-compatible aliases (pre-cluster private names).
-_LINK_BW = LINK_BW
-_LINK_LATENCY = LINK_LATENCY
-
 
 @dataclass
 class MultiGpuResult:
@@ -152,7 +148,7 @@ def multigpu_multiply(
     broadcast_s = (
         0.0
         if n_devices == 1
-        else b_bytes / _LINK_BW + (n_devices - 1) * _LINK_LATENCY
+        else b_bytes / LINK_BW + (n_devices - 1) * LINK_LATENCY
     )
 
     device_times: List[float] = []
@@ -190,7 +186,7 @@ def multigpu_multiply(
     gather_s = (
         0.0
         if (n_devices == 1 or not gather)
-        else gather_bytes / _LINK_BW + n_devices * _LINK_LATENCY
+        else gather_bytes / LINK_BW + n_devices * LINK_LATENCY
     )
     c = _stack_rows(slabs, (a.rows, b.cols)) if compute_result else None
     return MultiGpuResult(

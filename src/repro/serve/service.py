@@ -5,7 +5,8 @@ engines by hand: one object owning a :class:`~repro.core.speck.SpeckEngine`,
 a structural :class:`~repro.serve.plan_cache.PlanCache`, a host-side
 context cache, and a :class:`~repro.serve.metrics.MetricsRegistry`.  Every
 ``multiply`` fingerprints the operands, reuses or captures a plan, and
-records hit/miss and modelled-latency metrics.
+records modelled-latency metrics; hit and miss counts are the plan
+cache's own.
 
 Concurrency model: the core is synchronous and thread-safe (the plan
 cache and metrics lock internally; the engine itself is stateless per
@@ -136,11 +137,7 @@ class SpGEMMService:
         plan this service populates from here on.  Returns the number of
         compatible plans adopted (the warm-restart win)."""
         self.plan_store = store
-        warmed = store.warm(self.plans, self.compat)
-        self.metrics.counter(
-            "service.warm_plans", "plans adopted from the durable store"
-        ).inc(warmed)
-        return warmed
+        return store.warm(self.plans, self.compat)
 
     def persist_plan(self, plan: CachedPlan) -> None:
         """Stamp a freshly populated plan's identity and persist it: one
@@ -259,11 +256,6 @@ class SpGEMMService:
             self.plans.note_populated(plan)
 
         m = self._metric
-        m("counter", "service.requests", "multiplies accepted by the core").inc()
-        if hit:
-            m("counter", "service.plan_hits", "plan cache hits").inc()
-        else:
-            m("counter", "service.plan_misses", "plan cache misses").inc()
         if estimate is not None and seeded:
             m(
                 "counter",
@@ -341,9 +333,25 @@ class SpGEMMService:
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """Combined metrics + plan-cache statistics."""
+        """Combined metrics + plan-cache statistics.
+
+        ``service.plan_hits``, ``service.plan_misses`` and
+        ``service.requests`` (their sum) are read from the plan cache,
+        and ``service.warm_plans`` from the attached store's ``warmed``:
+        those layers own the facts.  Each appears once its event has
+        happened; ``service.warm_plans`` whenever a store is attached.
+        """
         snap = self.metrics.snapshot()
         stats = self.plans.stats()
+        counters = snap["counters"]
+        if stats.hits + stats.misses:
+            counters["service.requests"] = stats.hits + stats.misses
+        if stats.hits:
+            counters["service.plan_hits"] = stats.hits
+        if stats.misses:
+            counters["service.plan_misses"] = stats.misses
+        if self.plan_store is not None:
+            counters["service.warm_plans"] = self.plan_store.warmed
         snap["plan_cache"] = {
             "hits": stats.hits,
             "misses": stats.misses,

@@ -187,7 +187,7 @@ class TestServiceRouting:
         assert np.array_equal(res2.labels, res.labels)
         assert warm.misses == cold.misses
         assert warm.hits == cold.hits + res2.iterations
-        assert svc.metrics.counter("service.plan_hits").snapshot() == warm.hits
+        assert svc.snapshot()["counters"]["service.plan_hits"] == warm.hits
 
     def test_amg_through_service_matches_direct(self):
         from repro.serve import SpGEMMService
@@ -201,7 +201,7 @@ class TestServiceRouting:
             assert np.array_equal(lvl.a.indptr, ref.a.indptr)
             assert np.array_equal(lvl.a.indices, ref.a.indices)
             assert np.allclose(lvl.a.data, ref.a.data)
-        assert svc.metrics.counter("service.requests").snapshot() > 0
+        assert svc.snapshot()["counters"]["service.requests"] > 0
 
     def test_amg_resetup_same_topology_all_hits(self):
         from repro.serve import SpGEMMService

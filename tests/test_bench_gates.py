@@ -18,7 +18,7 @@ from io import StringIO
 import numpy as np
 import pytest
 
-from bench_configs import run_config
+from bench_configs import CONFIGS, run_config
 from repro.cli import main
 from repro.cluster import bench as cluster_bench
 from repro.eval import small_corpus
@@ -211,6 +211,51 @@ class TestChaosGates:
         assert warm["warm_plans"] > 0, warm["plan_store"]
         assert warm["plan_store"]["quarantined_corrupt"] >= 1
         assert warm["first_100_hit_rate"] > cold["first_100_hit_rate"]
+
+
+_BREAKER_FIELDS = {"open": "opens", "half_open": "half_opens", "closed": "closes"}
+
+
+def _owned_counts(r):
+    """``(counters, owner fields)``: each counter a report derives from
+    another layer's tally, next to the value that tally reports."""
+    if "cluster" not in r["metrics"]:
+        cache = r["cache"]
+        return r["metrics"]["counters"], {
+            "service.plan_hits": cache["hits"],
+            "service.plan_misses": cache["misses"],
+        }
+    owners = {
+        "cluster.placed_spill": r["spilled"],
+        "cluster.retries": r["retry_budget"]["spent"],
+        "cluster.retry_denied": r["retry_budget"]["denied"],
+        "cluster.proactive_replications": r["metrics"]["plan_index"]["proactive"],
+    }
+    for mode, n in r["brownouts"].items():
+        owners[f"cluster.brownout_{mode}"] = n
+    for state, fld in _BREAKER_FIELDS.items():
+        per_node = {node: b[fld] for node, b in r["breakers"].items()}
+        owners[f"cluster.breaker_{state}"] = sum(per_node.values())
+        for node, n in per_node.items():
+            owners[f"cluster.breaker_{state}_{node}"] = n
+    if r["autoscale"]:
+        for key in ("scale_ups", "scale_downs", "warm_join_plans"):
+            owners[f"cluster.{key}"] = r["autoscale"][key]
+    counters = dict(r["metrics"]["cluster"]["counters"])
+    for node in r["metrics"]["nodes"]:
+        name = node["name"]
+        for kind in ("hits", "misses"):
+            counters[f"{name}.plan_{kind}"] = node["metrics"]["counters"].get(
+                f"service.plan_{kind}", 0
+            )
+            owners[f"{name}.plan_{kind}"] = node["plan_cache"][kind]
+    return counters, owners
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_derived_counters_equal_their_owners(name, report):
+    counters, owners = _owned_counts(report(name))
+    assert {k: counters.get(k, 0) for k in owners} == owners
 
 
 def _cli(argv):

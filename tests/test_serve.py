@@ -290,7 +290,7 @@ class TestMetrics:
         for _ in range(4):
             svc.multiply(a, a)
         assert sorted(lookups) == sorted(set(lookups))
-        snap = registry.snapshot()
+        snap = svc.snapshot()
         assert snap["counters"]["service.requests"] == 4
         assert snap["counters"]["service.plan_hits"] == 3
         assert snap["counters"]["service.plan_misses"] == 1
