@@ -27,6 +27,7 @@ produces a byte-identical ``--json`` report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.params import DEFAULT_PARAMS, SpeckParams
@@ -291,29 +292,34 @@ class _FleetRun:
             )
         return None
 
+    def _fetch_replica(self, node: ClusterNode, key):
+        """The peer rung of ``node``'s plan-source ladder: pull a replica
+        of ``key`` from a live compatible holder."""
+        plan, transfer_s = self.router.plan_index.fetch(key, node, self.nodes)
+        if plan is not None:
+            self.fleet.registry.counter(
+                "cluster.plan_fetches", "plan replicas pulled on demand"
+            ).inc()
+            self.fleet.registry.histogram(
+                "cluster.plan_fetch_s", "modelled replica transfer seconds"
+            ).observe(transfer_s)
+        return plan, transfer_s
+
     def execute(self, node, req, brownout, now):
-        # Pull a peer's plan replica first, unless the node holds one.
+        # The node's service walks the one plan-source ladder (cache,
+        # store, then this peer rung, then cold) and prices the fetch.
+        peer = (
+            partial(self._fetch_replica, node)
+            if self.router.policy.replicate_plans
+            else None
+        )
+        res = node.execute(req, brownout, peer)
         key = (req.a.fingerprint(), req.b.fingerprint())
-        transfer_s = 0.0
-        fetched = False
-        if (
-            self.router.policy.replicate_plans
-            and node.service.plans.peek(key) is None
-        ):
-            plan, transfer_s = self.router.plan_index.fetch(key, node, self.nodes)
-            fetched = plan is not None
-            if fetched:
-                self.fleet.registry.counter(
-                    "cluster.plan_fetches", "plan replicas pulled on demand"
-                ).inc()
-                self.fleet.registry.histogram(
-                    "cluster.plan_fetch_s", "modelled replica transfer seconds"
-                ).observe(transfer_s)
-        res = node.execute(req, brownout)
         if node.service.plans.peek(key) is not None:
             self.router.plan_index.note(key, node.name)
         node.note_served(
-            hit=res.decisions.get("plan_cache") == "hit", fetched=fetched
+            hit=res.decisions.get("plan_cache") == "hit",
+            fetched=res.decisions.get("plan_source") == "peer",
         )
         # Feed the node's circuit breaker: an invalid result or a
         # degraded (slow) dispatch counts against it, so a persistently
@@ -322,7 +328,7 @@ class _FleetRun:
         slow = node.degraded(now)
         self.router.breakers[node.name].record(res.valid and not slow, now)
         factor = self.spec.degrade_factor if slow else 1.0
-        return res, res.time_s * factor + transfer_s
+        return res, res.time_s * factor + res.decisions.get("plan_fetch_s", 0.0)
 
     def retry(
         self, req: Request, reason: str, info: Optional[FailureInfo]
@@ -448,6 +454,9 @@ class ClusterBenchReport(ReplayReport):
                 f"{self.plan_store.get('appended', 0)} appended, "
                 f"{self.plan_store.get('quarantined_corrupt', 0)} corrupt + "
                 f"{self.plan_store.get('quarantined_torn', 0)} torn quarantined"
+            )
+            lines += self._plan_sources(
+                self.plan_store, int(self.metrics["fleet"]["plan_misses"])
             )
         if self.single_node:
             lines.append(

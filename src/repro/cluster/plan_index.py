@@ -27,17 +27,11 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..extensions.multigpu import LINK_BW, LINK_LATENCY
-from ..serve.plan_cache import CachedPlan, PlanIntegrityError
+from ..serve.plan_cache import CachedPlan, PlanIntegrityError, plan_transfer_s
 
 __all__ = ["PlanIndex", "plan_transfer_s"]
 
 PlanKey = Tuple[str, str]
-
-
-def plan_transfer_s(nbytes: int) -> float:
-    """Modelled seconds to move a plan replica between two nodes."""
-    return nbytes / LINK_BW + LINK_LATENCY
 
 
 class PlanIndex:
@@ -77,11 +71,15 @@ class PlanIndex:
     def drop_node(self, node: str) -> None:
         """Forget every location on ``node`` (crash / decommission)."""
         for key in list(self._where):
-            holders = [n for n in self._where[key] if n != node]
-            if holders:
-                self._where[key] = holders
-            else:
-                del self._where[key]
+            self._unregister(key, node)
+
+    def _unregister(self, key: PlanKey, node: str) -> None:
+        """Forget that ``node`` holds ``key``; a key no node holds goes."""
+        holders = [n for n in self._where.get(key, ()) if n != node]
+        if holders:
+            self._where[key] = holders
+        else:
+            self._where.pop(key, None)
 
     def holders(self, key: PlanKey) -> List[str]:
         return list(self._where.get(key, ()))
@@ -195,9 +193,7 @@ class PlanIndex:
         plan = source.service.plans.peek(key)
         if plan is None:
             # The source evicted since we recorded it; unregister.
-            self._where[key] = [
-                n for n in self._where.get(key, ()) if n != source.name
-            ]
+            self._unregister(key, source.name)
             return None
         replica = replace(plan, hits=0)
         if self._replica_hook is not None:

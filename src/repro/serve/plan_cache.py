@@ -32,9 +32,16 @@ import numpy as np
 from ..core.analysis import RowAnalysis
 from ..core.global_lb import BlockPlan
 from ..core.passes import PassResult
+from ..extensions.multigpu import LINK_BW, LINK_LATENCY
 from ..matrices.csr import CSR
 
-__all__ = ["CachedPlan", "PlanCache", "PlanIntegrityError", "plan_key"]
+__all__ = [
+    "CachedPlan",
+    "PlanCache",
+    "PlanIntegrityError",
+    "plan_key",
+    "plan_transfer_s",
+]
 
 
 class PlanIntegrityError(ValueError):
@@ -49,6 +56,17 @@ class PlanIntegrityError(ValueError):
     def __init__(self, message: str, *, reason: str) -> None:
         super().__init__(message)
         self.reason = reason
+
+
+def plan_transfer_s(nbytes: int) -> float:
+    """Modelled seconds to bring a plan of ``nbytes`` into a node's cache.
+
+    A peer replica crosses the NVLink-class link of
+    :mod:`repro.extensions.multigpu`; a plan read back from the local
+    store is charged the same, so one plan costs the same from either
+    rung of the plan-source ladder.
+    """
+    return nbytes / LINK_BW + LINK_LATENCY
 
 
 def plan_key(a: CSR, b: CSR, tag: str = "") -> Tuple[str, ...]:
@@ -148,6 +166,14 @@ class CachedPlan:
         self.sym = sym
         self.num = num
         self.ready = True
+
+    def serves(self, mode: str) -> bool:
+        """Whether this plan may serve a request planned in ``mode``.
+
+        Any plan serves any rung except one: a full-mode request needs a
+        full plan (a degraded or speculative one is refined instead).
+        """
+        return mode != "full" or self.mode == "full"
 
     def nbytes(self) -> int:
         """Host bytes held by the plan's arrays (cache budget accounting)."""
@@ -269,7 +295,7 @@ class PlanCache:
         with self._lock:
             plan = self._plans.get(key)
             if plan is not None and plan.ready:
-                if mode == "full" and plan.mode != "full":
+                if not plan.serves(mode):
                     self.refines += 1
                     self.misses += 1
                     plan = CachedPlan(key=key, mode=mode)

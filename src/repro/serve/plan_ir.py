@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from typing import Dict, List, Optional, Tuple
 
@@ -63,6 +64,7 @@ __all__ = [
     "encode_frame",
     "decode_frame",
     "frame_checksum",
+    "frame_key",
     "split_frames",
     "encode_record",
     "decode_record",
@@ -167,6 +169,16 @@ def frame_checksum(frame: bytes) -> str:
     :func:`plan_checksum` of the plan, without building the payload again.
     """
     return _HEADER_STRUCT.unpack_from(frame)[3].hex()
+
+
+def frame_key(frame: bytes) -> Tuple[str, ...]:
+    """The plan key an :func:`encode_plan` frame's header names.
+
+    Parses the JSON header only: neither the digest nor the arrays are
+    touched.  The plan store indexes each appended frame under it.
+    """
+    header, _ = _plan_header(memoryview(frame)[_HEADER_STRUCT.size:])
+    return tuple(str(k) for k in header["key"])
 
 
 def split_frames(data: bytes) -> List[Tuple[str, int, int]]:
@@ -334,31 +346,33 @@ def plan_checksum(plan: CachedPlan, compat: str = "") -> str:
 # ---------------------------------------------------------------------------
 # Decoding
 # ---------------------------------------------------------------------------
-def _read_arrays(descs: List[dict], buf: memoryview) -> Dict[str, np.ndarray]:
-    """Materialise every described array from the buffer (writable copies)."""
-    out: Dict[str, np.ndarray] = {}
+def _read_arrays(
+    descs: List[dict], buf: memoryview
+) -> Dict[str, Dict[str, np.ndarray]]:
+    """Materialise every described array from the buffer (writable copies),
+    grouped by the part of its name before the dot (``""`` for none)."""
+    groups: Dict[str, Dict[str, np.ndarray]] = {}
     offset = 0
     for d in descs:
-        dtype = np.dtype(str(d["dtype"]))
-        shape = tuple(int(s) for s in d["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = dtype.itemsize * count
-        if offset + nbytes > len(buf):
+        dtype = np.dtype(d["dtype"])
+        count = math.prod(d["shape"])
+        end = offset + dtype.itemsize * count
+        if end > len(buf):
             raise PlanIRError(
                 f"array {d['name']!r} runs past the payload", reason="corrupt"
             )
-        arr = np.frombuffer(buf[offset : offset + nbytes], dtype=dtype)
-        out[str(d["name"])] = arr.reshape(shape).copy()
-        offset += nbytes
-    return out
+        arr = np.frombuffer(buf, dtype, count, offset).reshape(d["shape"])
+        group, _, name = d["name"].rpartition(".")
+        groups.setdefault(group, {})[name] = arr.copy()
+        offset = end
+    return groups
 
 
-def _sub(arrays: Dict[str, np.ndarray], prefix: str) -> Dict[str, np.ndarray]:
-    return {
-        name[len(prefix):]: arr
-        for name, arr in arrays.items()
-        if name.startswith(prefix)
-    }
+def _plan_header(payload: memoryview) -> Tuple[dict, memoryview]:
+    """A plan payload's JSON header, and the array bytes that follow it."""
+    (head_len,) = struct.unpack_from(">I", payload)
+    header = json.loads(payload[4 : 4 + head_len].tobytes())
+    return header, payload[4 + head_len:]
 
 
 def _decode_pass(head: dict, group_sizes: np.ndarray) -> PassResult:
@@ -397,34 +411,31 @@ def _decode_payload(payload: bytes, checksum: str) -> Tuple[CachedPlan, str]:
     :meth:`PlanCache.adopt` skip rebuilding the payload to check it.
     """
     try:
-        (head_len,) = struct.unpack_from(">I", payload)
-        header = json.loads(payload[4 : 4 + head_len].decode("utf-8"))
-        buf = memoryview(payload)[4 + head_len:]
-        arrays = _read_arrays(list(header["arrays"]), buf)
-        analysis_arrays = _sub(arrays, "analysis.")
-        sym_bp = _sub(arrays, "plan_sym.")
-        num_bp = _sub(arrays, "plan_num.")
+        header, buf = _plan_header(memoryview(payload))
+        arrays = _read_arrays(header["arrays"], buf)
 
         # Keys are two fingerprints, plus an optional workload tag for
         # masked/variant plans — round-trip whatever length was written.
         plan = CachedPlan(key=tuple(str(k) for k in header["key"]))
         plan.mode = str(header.get("mode", "full"))
         plan.populate(
-            analysis=RowAnalysis(**analysis_arrays),
-            c_row_nnz=arrays["c_row_nnz"],
+            analysis=RowAnalysis(**arrays["analysis"]),
+            c_row_nnz=arrays[""]["c_row_nnz"],
             use_lb_symbolic=bool(header["use_lb_symbolic"]),
             use_lb_numeric=bool(header["use_lb_numeric"]),
             ratio_symbolic=float(header["ratio_symbolic"]),
             ratio_numeric=float(header["ratio_numeric"]),
             plan_sym=BlockPlan(
-                used_global_lb=bool(header["plan_sym"]["used_global_lb"]), **sym_bp
+                used_global_lb=bool(header["plan_sym"]["used_global_lb"]),
+                **arrays["plan_sym"],
             ),
             plan_num=BlockPlan(
-                used_global_lb=bool(header["plan_num"]["used_global_lb"]), **num_bp
+                used_global_lb=bool(header["plan_num"]["used_global_lb"]),
+                **arrays["plan_num"],
             ),
-            sym=_decode_pass(header["sym"], arrays["sym.group_sizes"]),
+            sym=_decode_pass(header["sym"], arrays["sym"]["group_sizes"]),
             num=(
-                _decode_pass(header["num"], arrays["num.group_sizes"])
+                _decode_pass(header["num"], arrays["num"]["group_sizes"])
                 if header["num"] is not None
                 else None
             ),

@@ -50,7 +50,7 @@ from .admission import (
     BrownoutInfo,
     ServiceReject,
 )
-from .service import SpGEMMService
+from .service import PeerRung, SpGEMMService
 
 __all__ = [
     "InFlight",
@@ -340,9 +340,13 @@ class ServeScheduler:
         return batch
 
     def execute(
-        self, req: Request, brownout: Optional[BrownoutInfo] = None
+        self,
+        req: Request,
+        brownout: Optional[BrownoutInfo] = None,
+        peer: Optional[PeerRung] = None,
     ) -> SpGEMMResult:
-        """Run one request: its workload executor, or a plain multiply."""
+        """Run one request: its workload executor, or a plain multiply
+        whose plan-source ladder may end in ``peer`` (a fleet's rung)."""
         if req.workload is not None:
             return req.workload(
                 self.service,
@@ -358,6 +362,7 @@ class ServeScheduler:
             faults=self.faults,
             case_name=req.case_name,
             brownout=brownout,
+            peer=peer,
         )
 
     # ------------------------------------------------------------------
@@ -399,7 +404,8 @@ class LocalRouter:
     requests to re-place; ``route`` picks a node (``None`` when none is
     alive); ``before_dispatch`` returns the requests a crashed node
     stranded; ``execute`` runs one request and returns it with its
-    modelled service seconds; ``retry`` returns ``None`` to re-place a
+    modelled service seconds (``time_s`` plus the plan-source ladder's
+    ``plan_fetch_s``); ``retry`` returns ``None`` to re-place a
     failed request, else its terminal failure; ``settled`` sees every
     outcome.  Here a retry re-queues up to the node's ``max_retries``
     (no budget, breaker or replica fetch) and the node's own registry
@@ -433,7 +439,7 @@ class LocalRouter:
 
     def execute(self, node, req: Request, brownout: BrownoutInfo, now: float):
         res = node.execute(req, brownout)
-        return res, res.time_s
+        return res, res.time_s + res.decisions.get("plan_fetch_s", 0.0)
 
     def retry(
         self, req: Request, reason: str, info: Optional[FailureInfo]

@@ -4,9 +4,10 @@
 engines by hand: one object owning a :class:`~repro.core.speck.SpeckEngine`,
 a structural :class:`~repro.serve.plan_cache.PlanCache`, a host-side
 context cache, and a :class:`~repro.serve.metrics.MetricsRegistry`.  Every
-``multiply`` fingerprints the operands, reuses or captures a plan, and
-records modelled-latency metrics; hit and miss counts are the plan
-cache's own.
+``multiply`` fingerprints the operands, finds a plan through the
+plan-source ladder (cache, durable store, fleet peer) or captures one
+cold, and records modelled-latency metrics; hit and miss counts are the
+plan cache's own.
 
 Concurrency model: the core is synchronous and thread-safe (the plan
 cache and metrics lock internally; the engine itself is stateless per
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from ..core.context import MultiplyContext
 from ..core.params import DEFAULT_PARAMS, SpeckParams
@@ -32,13 +33,18 @@ from ..matrices.csr import CSR
 from ..result import SpGEMMResult
 from .admission import BROWNOUT_MODES, BrownoutInfo
 from .metrics import MetricsRegistry
-from .plan_cache import CachedPlan, PlanCache
+from .plan_cache import CachedPlan, PlanCache, plan_key, plan_transfer_s
 from .plan_ir import compat_key, encode_plan, frame_checksum
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .plan_store import PlanStore
 
-__all__ = ["SpGEMMService"]
+__all__ = ["PeerRung", "SpGEMMService"]
+
+#: The fleet's rung of the plan-source ladder: given a plan key, adopt a
+#: peer's replica into this service's cache and return it with its
+#: modelled transfer seconds, or ``(None, 0.0)`` when no peer has it.
+PeerRung = Callable[[Tuple[str, ...]], Tuple[Optional[CachedPlan], float]]
 
 #: Per-rung planning overrides of the brownout ladder.  ``lb_fallback``
 #: skips the binning decision entirely (both passes take the global-LB
@@ -134,7 +140,8 @@ class SpGEMMService:
     # ------------------------------------------------------------------
     def attach_plan_store(self, store: "PlanStore") -> int:
         """Bind a durable store: warm the cache from it now, persist every
-        plan this service populates from here on.  Returns the number of
+        plan this service populates from here on, and read a plan the
+        cache evicted back from it on a miss.  Returns the number of
         compatible plans adopted (the warm-restart win)."""
         self.plan_store = store
         return store.warm(self.plans, self.compat)
@@ -142,12 +149,14 @@ class SpGEMMService:
     def persist_plan(self, plan: CachedPlan) -> None:
         """Stamp a freshly populated plan's identity and persist it: one
         encode gives ``plan.checksum`` (the frame's digest) and the bytes
-        the durable store appends, when one is attached."""
+        the durable store appends, when one is attached and its current
+        frame for the key is not this very plan already."""
         plan.compat = self.compat
         frame = encode_plan(plan)
         plan.checksum = frame_checksum(frame)
-        if self.plan_store is not None:
-            self.plan_store.put(frame)
+        store = self.plan_store
+        if store is not None and not store.holds(plan.key, plan.checksum):
+            store.put(frame)
 
     # ------------------------------------------------------------------
     def context_for(self, a: CSR, b: CSR) -> MultiplyContext:
@@ -183,6 +192,7 @@ class SpGEMMService:
         brownout: Optional[BrownoutInfo] = None,
         plan_tag: str = "",
         estimate: Optional[MultiplyEstimate] = None,
+        peer: Optional[PeerRung] = None,
     ) -> SpGEMMResult:
         """Run ``C = A · B`` through the engine with plan reuse.
 
@@ -214,6 +224,17 @@ class SpGEMMService:
         ``i``'s exact row stats this way instead of resampling.  It is
         ignored on a plan hit (reuse is cheaper than any estimate) and
         takes precedence over the service's own sampling estimator.
+
+        A plan the cache does not hold is looked up through the
+        plan-source ladder before anything is planned: the attached
+        store (:meth:`~repro.serve.plan_store.PlanStore.fetch`), then
+        ``peer`` (a cluster node's :data:`PeerRung`), then a cold plan.
+        ``decisions["plan_source"]`` records which rung served the
+        request (``"cache"``, ``"store"``, ``"peer"`` or ``"cold"``).  A
+        plan brought in by the store or a peer is charged
+        :func:`~repro.serve.plan_cache.plan_transfer_s` of its bytes in
+        ``decisions["plan_fetch_s"]``; the caller adds that to the
+        request's service seconds, outside ``time_s``.
         """
         rung = brownout.mode if brownout is not None else "full"
         if rung not in self._engines:
@@ -227,9 +248,20 @@ class SpGEMMService:
             if self.estimator is not None
             else None
         )
+        source, fetch_s = "cache", 0.0
+        if (self.plan_store is not None or peer is not None) and (
+            # A plan estimated past the whole budget is never retained
+            # (``PlanCache.get_or_create``): no rung could make it resident.
+            est_nbytes is None or est_nbytes <= self.plans.max_bytes
+        ):
+            source, fetch_s = self._fetch_plan(
+                plan_key(a, b, plan_tag), plan_mode, peer
+            )
         plan, hit = self.plans.get_or_create(
             a, b, mode=plan_mode, est_nbytes=est_nbytes, tag=plan_tag
         )
+        if not hit:
+            source = "cold"
         if estimate is not None:
             seeded = not hit
             estimate = estimate if seeded else None
@@ -254,6 +286,10 @@ class SpGEMMService:
             # Stamp identity before anything persists or replicates it.
             self.persist_plan(plan)
             self.plans.note_populated(plan)
+
+        res.decisions["plan_source"] = source
+        if fetch_s:
+            res.decisions["plan_fetch_s"] = fetch_s
 
         m = self._metric
         if estimate is not None and seeded:
@@ -318,6 +354,28 @@ class SpGEMMService:
         )
         m("gauge", "service.cache_entries", "plans cached").set(len(self.plans))
         return res
+
+    def _fetch_plan(
+        self, key: Tuple[str, ...], mode: str, peer: Optional[PeerRung]
+    ) -> Tuple[str, float]:
+        """Walk the ladder's middle rungs for a plan the cache lacks.
+
+        Returns the rung that made the plan resident (``"store"`` or
+        ``"peer"``) with its modelled transfer seconds; ``"cache"`` when
+        the cache already holds a ready plan, ``"cold"`` when no rung
+        has one.  The cache lookup that follows counts the request.
+        """
+        if self.plans.peek(key) is not None:
+            return "cache", 0.0
+        if self.plan_store is not None:
+            plan = self.plan_store.fetch(key, self.plans, self.compat, mode)
+            if plan is not None:
+                return "store", plan_transfer_s(plan.nbytes())
+        if peer is not None:
+            plan, transfer_s = peer(key)
+            if plan is not None:
+                return "peer", transfer_s
+        return "cold", 0.0
 
     def _metric(self, kind: str, name: str, help: str):
         """The registry's ``kind`` metric ``name``, looked up once.

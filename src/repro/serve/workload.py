@@ -391,6 +391,19 @@ class ReplayReport:
             ),
         ]
 
+    @staticmethod
+    def _plan_sources(store: Dict[str, int], cold: int) -> List[str]:
+        """The line that tells cold plans from plans read back from plan
+        stores; empty when no store read anything back."""
+        reads = int(store.get("reads", 0))
+        if not reads:
+            return []
+        refused = int(store.get("read_rejects", 0))
+        return [
+            f"plan sources: {cold} cold plans, {reads - refused} store "
+            f"reads ({refused} refused)"
+        ]
+
     def _tail(self) -> List[str]:
         lines = []
         if self.speculative_cold:
@@ -446,7 +459,9 @@ class BenchReport(ReplayReport):
             f"first 100 served: hit rate {self.first_100_hit_rate * 100:.1f}%"
             + (f" (warm-started with {self.warm_plans} plans)"
                if self.warm_plans else ""),
-        ]
+        ] + self._plan_sources(
+            self.metrics.get("plan_store") or {}, int(self.cache.get("misses", 0))
+        )
         if self.workload_stats:
             pairs = ", ".join(
                 f"{k}={v:.4g}"

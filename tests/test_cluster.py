@@ -224,6 +224,17 @@ class TestPlanIndex:
         plan, _ = index.fetch(key, n1, nodes)
         assert plan is None
 
+    def test_fetch_from_an_evicted_sole_holder_forgets_the_key(self, corpus):
+        nodes = self._two_nodes()
+        n0, n1 = nodes["node-0"], nodes["node-1"]
+        key, _ = self._warm(n0, corpus)
+        index = PlanIndex()
+        index.note(key, "node-0")
+        n0.service.plans.clear()
+        assert index.fetch(key, n1, nodes) == (None, 0.0)
+        assert index.holders(key) == []
+        assert index.snapshot()["plans_indexed"] == 0
+
     def test_drop_node_forgets_locations(self):
         index = PlanIndex()
         index.note(("f1", "f2"), "node-0")
@@ -232,6 +243,61 @@ class TestPlanIndex:
         assert index.holders(("f1", "f2")) == ["node-1"]
         index.drop_node("node-1")
         assert index.holders(("f1", "f2")) == []
+
+
+class TestPlanSourceLadder:
+    """A fleet node walks one ladder: cache, its own store, a peer, cold."""
+
+    def _run(self, tmp_path):
+        from repro.cluster.bench import _FleetRun
+
+        spec = ClusterSpec(n_nodes=2, plan_store_dir=str(tmp_path))
+        return _FleetRun(build_fleet(spec), spec, DEFAULT_PARAMS, None)
+
+    def _dispatch(self, run, node, a, b):
+        from repro.serve.scheduler import Request
+
+        brownout = node.admission.brownout_mode(queue_depth=0, committed_bytes=0)
+        return run.execute(node, Request(0, a, b, 0.0), brownout, 0.0)
+
+    def test_local_store_is_tried_before_a_peer(self, corpus, tmp_path):
+        run = self._run(tmp_path)
+        n0, n1 = run.nodes["node-0"], run.nodes["node-1"]
+        a, b = corpus[0].matrices()
+        key = (a.fingerprint(), b.fingerprint())
+        for node in (n0, n1):
+            node.service.multiply(a, b)
+            run.router.plan_index.note(key, node.name)
+        n1.service.plans.clear()  # node-1 still has the plan on disk
+
+        res, service_s = self._dispatch(run, n1, a, b)
+        assert res.decisions["plan_source"] == "store"
+        assert run.router.plan_index.fetches == 0
+        nbytes = n1.service.plans.peek(key).nbytes()
+        assert service_s == pytest.approx(res.time_s + plan_transfer_s(nbytes))
+
+    def test_peer_serves_what_the_store_lacks(self, corpus, tmp_path):
+        run = self._run(tmp_path)
+        n0, n1 = run.nodes["node-0"], run.nodes["node-1"]
+        a, b = corpus[0].matrices()
+        key = (a.fingerprint(), b.fingerprint())
+        n0.service.multiply(a, b)
+        run.router.plan_index.note(key, "node-0")
+
+        res, service_s = self._dispatch(run, n1, a, b)
+        assert res.decisions["plan_source"] == "peer"
+        assert run.router.plan_index.fetches == 1
+        assert n1.service.plan_store.reads == 0  # nothing stored to read
+        nbytes = n1.service.plans.peek(key).nbytes()
+        assert service_s == pytest.approx(res.time_s + plan_transfer_s(nbytes))
+        assert n1.first_100_local_hits == 0  # a fetched plan is not local
+
+        # Neither rung has a plan for a fresh structure: it plans cold.
+        c, d = corpus[1].matrices()
+        res, service_s = self._dispatch(run, n1, c, d)
+        assert res.decisions["plan_source"] == "cold"
+        assert service_s == res.time_s
+        assert run.router.plan_index.misses == 1
 
 
 # ---------------------------------------------------------------------------

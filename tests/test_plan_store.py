@@ -22,7 +22,8 @@ from repro.eval.suite import MatrixCase
 from repro.faults import parse_fault_spec
 from repro.matrices import generators as gen
 from repro.serve.admission import AdmissionController, BrownoutPolicy
-from repro.serve.plan_cache import PlanCache, PlanIntegrityError
+from repro.kernels.reference import esc_multiply
+from repro.serve.plan_cache import PlanCache, PlanIntegrityError, plan_transfer_s
 from repro.serve.plan_ir import (
     PlanIRError,
     compat_key,
@@ -32,7 +33,7 @@ from repro.serve.plan_ir import (
 )
 from repro.serve.plan_store import PlanStore
 from repro.serve.service import SpGEMMService
-from repro.serve.workload import WorkloadSpec, run_serve_bench
+from repro.serve.workload import WorkloadSpec, run_serve_bench, serve_corpus
 from repro.cluster.bench import ClusterSpec, run_cluster_bench
 from repro.cluster.router import BreakerPolicy, CircuitBreaker, RetryBudget
 from repro.gpu import TITAN_V
@@ -276,31 +277,46 @@ def test_put_during_compaction_is_not_lost(tmp_path):
 
 
 def test_puts_racing_compaction_all_survive(tmp_path):
-    """Four threads put while a fifth compacts in a loop; every frame
-    put must be in the reloaded store."""
+    """Four threads put while a fifth compacts in a loop and a sixth reads
+    plans back; every frame put must be in the reloaded store, and every
+    read that finds a key returns that key's intact plan."""
     keys, frames = _tiny_frames()
+    compat = decode_plan(frames[0])[1]
     store = PlanStore(str(tmp_path / "store"))
     putters = [
         threading.Thread(target=lambda i=i: [store.put(f) for f in frames[i::4]])
         for i in range(4)
     ]
+    read_back = []
 
     def compact_until_done():
         while any(t.is_alive() for t in putters):
             store.compact()
 
-    compactor = threading.Thread(target=compact_until_done)
+    def read_until_done():
+        while any(t.is_alive() for t in putters):
+            for key in keys:
+                plan = store.fetch(key, PlanCache(), compat)
+                if plan is not None:
+                    read_back.append(plan.key == key)
+
+    others = [
+        threading.Thread(target=compact_until_done),
+        threading.Thread(target=read_until_done),
+    ]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for t in putters + [compactor]:
+        for t in putters + others:
             t.start()
-        for t in putters + [compactor]:
+        for t in putters + others:
             t.join(timeout=60)
             assert not t.is_alive()
     finally:
         sys.setswitchinterval(interval)
     assert store.appended == len(frames)
+    assert all(store.fetch(key, PlanCache(), compat) for key in keys)
+    assert store.read_rejects == 0 and all(read_back)
     assert {p.key for p in PlanStore(store.directory).load().plans} == set(keys)
 
 
@@ -482,6 +498,236 @@ def test_warm_skips_incompatible_and_rejects_damaged(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# The read path: the store rung of the plan-source ladder
+# ---------------------------------------------------------------------------
+def _same_c(res, a, b):
+    want = esc_multiply(a, b)
+    c = res.c
+    return (c.fingerprint(), c.fingerprint_values()) == (
+        want.fingerprint(), want.fingerprint_values()
+    )
+
+
+def _evicted_store_service(tmp_path, faults=None, **kw):
+    """A service whose store holds one plan its cache no longer does."""
+    store = PlanStore(str(tmp_path / "store"), name="s", faults=faults)
+    svc = SpGEMMService(plan_store=store, **kw)
+    m = gen.rmat(6, 8, seed=1)
+    first = svc.multiply(m, m)
+    assert first.decisions["plan_source"] == "cold"
+    svc.plans.clear()
+    return svc, store, m
+
+
+def test_evicted_plan_is_read_back_from_the_store(tmp_path):
+    svc, store, m = _evicted_store_service(tmp_path)
+    res = svc.multiply(m, m)
+    assert res.decisions["plan_source"] == "store"
+    assert res.decisions["plan_cache"] == "hit"
+    plan = svc.plans.peek((m.fingerprint(), m.fingerprint()))
+    assert res.decisions["plan_fetch_s"] == pytest.approx(
+        plan_transfer_s(plan.nbytes())
+    )
+    assert _same_c(res, m, m)
+    # No second frame for a plan the store already holds.
+    assert store.appended == 1
+    assert store.stats()["reads"] == 1 and "read_rejects" not in store.stats()
+    again = svc.multiply(m, m)
+    assert again.decisions["plan_source"] == "cache"
+    assert "plan_fetch_s" not in again.decisions
+    # The adaptive accumulators run off the read-back plan bit-identically.
+    cold = SpGEMMService().multiply(m, m, mode="execute").c
+    svc.plans.clear()
+    read = svc.multiply(m, m, mode="execute")
+    assert read.decisions["plan_source"] == "store"
+    assert read.c.data.tobytes() == cold.data.tobytes()
+    assert read.c.indices.tobytes() == cold.indices.tobytes()
+
+
+def test_store_that_never_reads_back_reports_no_read_counters(tmp_path):
+    svc = SpGEMMService(plan_store=PlanStore(str(tmp_path / "store")))
+    m = gen.rmat(6, 8, seed=1)
+    svc.multiply(m, m)
+    svc.multiply(m, m)
+    stats = svc.plan_store.stats()
+    assert "reads" not in stats and "read_rejects" not in stats
+
+
+@pytest.mark.parametrize(
+    "spec, counter",
+    [
+        ("disk_corrupt@s:n=1", "quarantined_corrupt"),
+        ("disk_torn_write@s:n=1", "quarantined_torn"),
+    ],
+)
+def test_damaged_frame_read_back_is_quarantined_and_replanned(
+    tmp_path, spec, counter
+):
+    svc, store, m = _evicted_store_service(tmp_path, parse_fault_spec(spec))
+    res = svc.multiply(m, m)
+    assert res.valid and _same_c(res, m, m)
+    assert res.decisions["plan_source"] == "cold"
+    stats = store.stats()
+    assert stats["quarantined_corrupt"] + stats["quarantined_torn"] == 1
+    assert stats[counter] == 1
+    assert stats["reads"] == 1 and stats["read_rejects"] == 1
+    with open(store.quarantine_path, encoding="utf-8") as fh:
+        assert len(fh.readlines()) == 1
+    # The cold re-plan appended a fresh frame, which serves the next miss.
+    assert store.appended == 2
+    svc.plans.clear()
+    back = svc.multiply(m, m)
+    assert back.decisions["plan_source"] == "store" and _same_c(back, m, m)
+    assert store.appended == 2
+    # A restart finds exactly the fresh frame.
+    load = PlanStore(store.directory).load()
+    assert [p.key for p in load.plans] == [(m.fingerprint(), m.fingerprint())]
+
+
+def test_torn_tail_read_back_cuts_only_the_tear(tmp_path):
+    svc, store, m = _evicted_store_service(
+        tmp_path, parse_fault_spec("disk_torn_write@s:n=1")
+    )
+    torn_size = os.path.getsize(store.wal_path)
+    svc.multiply(m, m)  # quarantines the tear, truncates it, appends
+    frame = encode_plan(svc.plans.peek((m.fingerprint(), m.fingerprint())))
+    with open(store.wal_path, "rb") as fh:
+        assert fh.read() == frame
+    assert torn_size < len(frame)
+
+
+def test_reads_follow_compaction(tmp_path):
+    store = PlanStore(str(tmp_path / "store"))
+    svc = SpGEMMService(plan_store=store)
+    mats = [gen.rmat(6, 8, seed=s) for s in (1, 2, 3)]
+    for m in mats:
+        svc.multiply(m, m)
+    assert store.compact() == 3
+    m4 = gen.rmat(6, 8, seed=4)
+    svc.multiply(m4, m4)  # lands in the emptied WAL
+    svc.plans.clear()
+    for m in mats + [m4]:
+        res = svc.multiply(m, m)
+        assert res.decisions["plan_source"] == "store", m
+        assert _same_c(res, m, m)
+    assert store.stats()["reads"] == 4 and store.appended == 4
+
+
+def test_reads_follow_a_torn_tail_truncated_at_load(tmp_path):
+    keys, frames = _tiny_frames()
+    store = PlanStore(str(tmp_path / "store"))
+    with open(store.wal_path, "wb") as fh:
+        fh.write(frames[0] + frames[1] + frames[2][: len(frames[2]) // 2])
+    load = store.load()
+    assert load.quarantined_torn == 1 and len(load.plans) == 2
+    store.put(frames[3])  # lands where the tear was cut
+    cache = PlanCache()
+    for i in (0, 1, 3):
+        plan = store.fetch(keys[i], cache, load.plans[0].compat)
+        assert plan is not None and plan.key == keys[i], i
+    assert store.fetch(keys[2], cache, load.plans[0].compat) is None
+    assert store.reads == 3 and store.read_rejects == 0
+
+
+def test_store_read_refuses_a_foreign_compat(tmp_path):
+    m = gen.rmat(6, 8, seed=9)
+    plan, _ = _cold_plan(m)
+    plan.compat = "other-device|params"
+    svc = SpGEMMService(plan_store=PlanStore(str(tmp_path / "store")))
+    svc.plan_store.put(encode_plan(plan))
+    res = svc.multiply(m, m)
+    assert res.decisions["plan_source"] == "cold" and _same_c(res, m, m)
+    assert svc.plan_store.read_rejects == 1
+    assert svc.plans.stats().rejects == 1
+    # The cold plan's frame replaces the foreign one in the index.
+    svc.plans.clear()
+    assert svc.multiply(m, m).decisions["plan_source"] == "store"
+
+
+def test_full_request_is_never_served_a_non_full_stored_plan(tmp_path):
+    m = gen.rmat(6, 8, seed=9)
+    spec_svc = SpGEMMService(speculative=True)
+    spec_svc.multiply(m, m)
+    spec_plan = spec_svc.plans.peek((m.fingerprint(), m.fingerprint()))
+    assert spec_plan.mode == "speculative"
+
+    svc = SpGEMMService(plan_store=PlanStore(str(tmp_path / "full")))
+    svc.plan_store.put(encode_plan(spec_plan))
+    res = svc.multiply(m, m)  # full mode
+    assert res.decisions["plan_source"] == "cold"
+    assert "speculative" not in res.decisions
+    assert svc.plan_store.read_rejects == 1
+    assert svc.plans.peek(spec_plan.key).mode == "full"
+
+    # A speculative request may take the stored speculative plan.
+    spec2 = SpGEMMService(
+        speculative=True, plan_store=PlanStore(str(tmp_path / "spec"))
+    )
+    spec2.plan_store.put(encode_plan(spec_plan))
+    res = spec2.multiply(m, m)
+    assert res.decisions["plan_source"] == "store"
+    assert spec2.plan_store.read_rejects == 0
+
+
+def test_churn_appends_at_most_one_frame_per_key(tmp_path):
+    """A small budget evicts constantly; every evicted plan comes back
+    from the store, so appends stay at the number of distinct keys."""
+    mats = [gen.rmat(6, 8, seed=s) for s in range(8)]
+    probe = SpGEMMService()
+    for m in mats[:2]:
+        probe.multiply(m, m)
+    budget = probe.plans.bytes_cached  # about two plans
+    store = PlanStore(str(tmp_path / "store"))
+    svc = SpGEMMService(
+        plan_cache_bytes=budget, plan_store=store, speculative=True
+    )
+    rng = np.random.default_rng(0)
+    sources = []
+    for i in rng.integers(0, len(mats), size=120):
+        m = mats[i]
+        res = svc.multiply(m, m)
+        assert res.valid and _same_c(res, m, m)
+        sources.append(res.decisions["plan_source"])
+    assert svc.plans.stats().evictions > 0
+    assert store.appended <= len(mats)
+    assert sources.count("cold") == store.appended
+    assert sources.count("store") == store.reads > 0
+
+
+def test_plan_estimated_past_the_budget_skips_the_store(tmp_path):
+    """A plan the cache could never retain is planned cold every time, as
+    before the ladder (reading it back would only flush the cache), but
+    its identical frame is appended once."""
+    m = gen.rmat(6, 8, seed=1)
+    store = PlanStore(str(tmp_path / "store"))
+    svc = SpGEMMService(plan_cache_bytes=64, plan_store=store, speculative=True)
+    for _ in range(3):
+        res = svc.multiply(m, m)
+        assert res.decisions["plan_source"] == "cold" and _same_c(res, m, m)
+    assert store.reads == 0 and svc.plans.stats().extra["budget_rejects"] == 3
+    assert store.appended == 1
+
+
+def test_store_holds_one_descriptor_and_reopens_after_compaction(tmp_path):
+    keys, frames = _tiny_frames()
+    store = PlanStore(str(tmp_path / "store"))
+    for frame in frames[:3]:
+        store.put(frame)
+    (wal,) = store._files.values()
+    cache = PlanCache()
+    compat = decode_plan(frames[0])[1]
+    for key in keys[:3]:
+        assert store.fetch(key, cache, compat) is not None
+    assert list(store._files.values()) == [wal]
+    store.compact()
+    assert wal.closed and store._files == {}
+    cache.clear()
+    assert store.fetch(keys[0], cache, compat) is not None
+    assert list(store._files) == [store.snapshot_path]
+    store.close()
+
+
+# ---------------------------------------------------------------------------
 # Brownout ladder
 # ---------------------------------------------------------------------------
 def test_brownout_mode_rungs():
@@ -656,6 +902,44 @@ def test_warm_restart_beats_cold_start(tmp_path):
     assert warm.config["plan_store"] is True
 
 
+def _one_plan_budget(cases):
+    """A plan-cache budget that holds the largest of ``cases``' plans."""
+    sizes = []
+    for case in cases:
+        probe = SpGEMMService()
+        probe.multiply(*case.matrices())
+        sizes.append(probe.plans.bytes_cached)
+    return max(sizes)
+
+
+def test_serve_bench_read_path_meets_disk_damage(tmp_path):
+    """Under churn every evicted plan is read back, so the damaged frames
+    are met by reads: quarantined, re-planned cold, never a wrong C."""
+    cases = _small_cases()
+    spec = WorkloadSpec(rate=4000.0, duration_s=0.05, seed=4)
+    report = run_serve_bench(
+        cases=cases,
+        spec=spec,
+        plan_cache_bytes=_one_plan_budget(cases),
+        plan_store_dir=str(tmp_path / "store"),
+        faults=parse_fault_spec("disk_corrupt:n=1;disk_torn_write:n=4"),
+        speculative=True,
+    )
+    store = report.metrics["plan_store"]
+    assert report.wrong_results == 0 and report.bit_identical
+    assert report.failed == 0
+    assert store["corrupt_writes"] == 1 and store["torn_writes"] == 1
+    # Both damaged frames were read back and refused; the load never ran
+    # over them (the store started empty).
+    assert store["read_rejects"] == 2 and store["replayed"] == 0
+    # A tear with a later frame after it reads as corrupt, as at load.
+    assert store["quarantined_corrupt"] + store["quarantined_torn"] == 2
+    # Each damaged key was planned cold once more and appended afresh.
+    assert store["appended"] == len(cases) + 2
+    assert store["reads"] > store["read_rejects"]
+    assert "plan sources: " in report.render()
+
+
 # ---------------------------------------------------------------------------
 # Cluster chaos: crash + corruption + degrade, deterministically
 # ---------------------------------------------------------------------------
@@ -671,6 +955,31 @@ def _chaos_run(store_dir):
         faults=parse_fault_spec(_CHAOS_FAULTS),
         compare_single=False,
     )
+
+
+def test_cluster_read_path_meets_disk_damage(tmp_path):
+    """Fleet nodes whose caches hold one plan read evicted plans back from
+    their stores; the corrupted frame is met there, never served."""
+    cases = serve_corpus()
+    spec = WorkloadSpec(rate=3000.0, duration_s=0.1, timeout_s=0.25, seed=3)
+    cluster = ClusterSpec(
+        n_nodes=2,
+        plan_cache_mb=_one_plan_budget(cases) / 1e6,
+        plan_store_dir=str(tmp_path),
+    )
+    r = run_cluster_bench(
+        spec=spec,
+        cluster=cluster,
+        faults=parse_fault_spec("disk_corrupt@node-0:n=1"),
+        compare_single=False,
+    )
+    assert r.wrong_results == 0 and r.bit_identical and r.conservation_ok
+    assert r.failed == 0
+    assert r.plan_store["corrupt_writes"] == 1
+    assert r.plan_store["read_rejects"] == r.plan_store["quarantined_corrupt"] == 1
+    assert r.plan_store["reads"] > 1
+    # The refused key was planned cold once more: one extra append.
+    assert r.plan_store["appended"] == len(cases) + 1
 
 
 def test_cluster_chaos_correct_and_deterministic(tmp_path):
