@@ -42,12 +42,18 @@ hardware — the guard therefore uses a generous factor.  The same guard
 then checks the speedup floors of :func:`speedup_floor_failures` and
 exits 1 when one is missed.
 
-With ``--serve-out`` the run additionally measures the serving cluster's
-host wall-clock (`repro.cluster`, a short 2-node fleet replay) and writes
-it as the ``"cluster"`` entry of the given ``BENCH_serve.json``, the
-file's only entry and this script its only writer.  ``--serve-baseline``
-guards that entry's ``wallclock_s`` with the same ``--max-regress``
-factor; ``--serve-only`` skips the core benches.
+With ``--serve-out`` the run additionally measures the serving layers
+and writes the given ``BENCH_serve.json`` (this script is its only
+writer) with two entries:
+
+* **cluster** — the serving cluster's host wall-clock (`repro.cluster`,
+  a short 2-node fleet replay);
+* **hit_path** — a warm ``SpGEMMService.multiply`` on every serve-corpus
+  operand, every plan cached (median and quartiles of 15 sweeps, and
+  the median per call), with no floor.
+
+``--serve-baseline`` guards the cluster entry's ``wallclock_s`` with the
+same ``--max-regress`` factor; ``--serve-only`` skips the core benches.
 """
 
 from __future__ import annotations
@@ -384,10 +390,38 @@ def bench_cluster() -> Dict[str, object]:
     }
 
 
-def _write_serve_entry(path: str, entry: Dict[str, object]) -> None:
-    """Write ``{"cluster": entry}`` to ``path``."""
+def bench_hit_path(samples: int = 15) -> Dict[str, object]:
+    """Wall-clock of plan hits through ``SpGEMMService.multiply``.
+
+    Every serve-corpus operand is multiplied once cold, so its plan and
+    context are cached; a sample is then one more multiply per operand,
+    which times the hit path alone: fingerprints, the plan cache, the
+    engine's hit and the service's metrics.  Reports the median and
+    quartiles of ``samples`` sweeps and the median per call.
+    """
+    from repro.serve import SpGEMMService, serve_corpus
+
+    cases = serve_corpus()
+    pairs = [case.matrices() for case in cases]
+    svc = SpGEMMService(TITAN_V, DEFAULT_PARAMS, context_cache_entries=len(pairs))
+    for a, b in pairs:
+        svc.multiply(a, b)
+
+    def sweep():
+        for a, b in pairs:
+            svc.multiply(a, b)
+
+    entry = _quartiles(_single_call_samples(sweep, samples))
+    entry.update(calls=len(pairs), per_call_us=entry["median_s"] / len(pairs) * 1e6)
+    for case in cases:
+        case.release()
+    return entry
+
+
+def _write_serve_entries(path: str, entries: Dict[str, object]) -> None:
+    """Write the serve entries (``cluster``, ``hit_path``) to ``path``."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"cluster": entry}, fh, indent=2, sort_keys=True)
+        json.dump(entries, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -406,13 +440,14 @@ def main(argv: List[str] | None = None) -> int:
                     help="fail when batched execute wall-clock exceeds "
                          "baseline by more than this factor")
     ap.add_argument("--serve-out", metavar="PATH",
-                    help="also run the cluster bench and write its 'cluster' "
-                         "entry to this BENCH_serve.json")
+                    help="also run the serve benches and write their "
+                         "'cluster' and 'hit_path' entries to this "
+                         "BENCH_serve.json")
     ap.add_argument("--serve-baseline", metavar="PATH",
                     help="compare the cluster wall-clock against this "
                          "committed BENCH_serve.json (same --max-regress)")
     ap.add_argument("--serve-only", action="store_true",
-                    help="skip the core benches; only run the cluster bench "
+                    help="skip the core benches; only run the serve benches "
                          "(requires --serve-out)")
     ap.add_argument("--timings", metavar="PATH",
                     help="also write a per-stage wall-clock JSON artifact "
@@ -425,11 +460,14 @@ def main(argv: List[str] | None = None) -> int:
     serve_rc = 0
     if args.serve_out:
         entry = bench_cluster()
-        _write_serve_entry(args.serve_out, entry)
+        hit = bench_hit_path()
+        _write_serve_entries(args.serve_out, {"cluster": entry, "hit_path": hit})
         print(f"cluster: {entry['completed']}/{entry['offered']} served in "
               f"{entry['wallclock_s']:.3f}s wall "
-              f"({entry['scaling_vs_single']:.2f}x vs single node); "
-              f"wrote {args.serve_out}")
+              f"({entry['scaling_vs_single']:.2f}x vs single node)")
+        print(f"hit_path: {hit['calls']} warm multiplies per sweep, median "
+              f"{hit['median_s'] * 1e6:.0f} us (IQR {hit['iqr_s'] * 1e6:.0f} us), "
+              f"{hit['per_call_us']:.1f} us per call; wrote {args.serve_out}")
         if args.serve_baseline:
             try:
                 with open(args.serve_baseline, "r", encoding="utf-8") as fh:

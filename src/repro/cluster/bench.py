@@ -35,6 +35,7 @@ from ..eval.suite import MatrixCase
 from ..faults import FailureInfo, FaultPlan
 from ..gpu.presets import PRESETS
 from ..serve.admission import AdmissionPolicy
+from ..serve.metrics import MetricHandles
 from ..serve.scheduler import (
     Request,
     RequestOutcome,
@@ -208,6 +209,7 @@ class _FleetRun:
             ),
         )
         self.fleet = FleetMetrics()
+        self._metric = MetricHandles(self.fleet.registry)
         # The router copies the node map; membership changes (autoscaler
         # joins, drains) land in router.nodes, so everything downstream —
         # the loop, aggregation, the report — iterates *that* map.
@@ -365,10 +367,10 @@ class _FleetRun:
         pass
 
     def settled(self, node: Optional[ClusterNode], out: RequestOutcome) -> None:
-        record_outcome(self.fleet.registry, "cluster", out)
+        record_outcome(self._metric, "cluster", out)
         if out.ok:
-            self.fleet.registry.histogram(
-                "cluster.service_s", "modelled on-node service time"
+            self._metric(
+                "histogram", "cluster.service_s", "modelled on-node service time"
             ).observe(out.finish_s - out.start_s)
             self.end_s = max(self.end_s, out.finish_s)
 

@@ -51,10 +51,17 @@ class MultiplyContext:
         self._c_row_nnz: Optional[np.ndarray] = None
         self._c_nnz: Optional[int] = None
         self._c: Optional[CSR] = None
+        #: Device bytes of A and B (resident throughout the call).
+        self.input_bytes = device_csr_bytes(a.rows, a.nnz) + device_csr_bytes(
+            b.rows, b.nnz
+        )
 
     # -- plan reuse (repro.serve) ----------------------------------------
     def seed_structure(
-        self, analysis: RowAnalysis, c_row_nnz: np.ndarray
+        self,
+        analysis: RowAnalysis,
+        c_row_nnz: np.ndarray,
+        c_nnz: Optional[int] = None,
     ) -> None:
         """Pre-populate the structural caches from a reused plan.
 
@@ -65,10 +72,17 @@ class MultiplyContext:
         work and the modelled analysis/symbolic charges.  Values of A and
         B play no part in either array, so seeding is safe across
         value-only operand changes.
+
+        ``c_nnz`` is the sum of ``c_row_nnz`` when the caller already
+        holds it (a plan hit does); otherwise a cached sum survives only
+        while the same array is seeded again.
         """
+        if c_nnz is not None:
+            self._c_nnz = c_nnz
+        elif c_row_nnz is not self._c_row_nnz:
+            self._c_nnz = None
         self._analysis = analysis
         self._c_row_nnz = c_row_nnz
-        self._c_nnz = None
 
     # -- structural facts ------------------------------------------------
     @property
@@ -125,13 +139,6 @@ class MultiplyContext:
         return self.total_products / max(1, self.c_nnz)
 
     # -- memory facts ------------------------------------------------------
-    @property
-    def input_bytes(self) -> int:
-        """Device bytes of A and B (resident throughout the call)."""
-        return device_csr_bytes(self.a.rows, self.a.nnz) + device_csr_bytes(
-            self.b.rows, self.b.nnz
-        )
-
     @property
     def output_bytes(self) -> int:
         """Device bytes of C (every method allocates this)."""

@@ -148,8 +148,14 @@ class PassResult:
     def mean_group_size(self) -> float:
         """Mean of ``group_sizes`` (0 with no blocks).  Computed once per
         record, so plan hits reusing a cached record skip it; not a field,
-        so a ``replace`` copy recomputes it and equality ignores it."""
-        return float(self.group_sizes.mean()) if self.group_sizes.size else 0.0
+        so a ``replace`` copy recomputes it and equality ignores it.
+
+        The exact integer sum over the count is the correctly rounded
+        mean, which is what ``np.mean`` returns while its float64 partial
+        sums stay exact (a total below 2**53), at a fraction of its
+        per-call cost."""
+        g = self.group_sizes
+        return int(g.sum()) / g.size if g.size else 0.0
 
 
 def run_pass(

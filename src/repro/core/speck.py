@@ -19,8 +19,8 @@ Two modes:
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
 
@@ -44,7 +44,86 @@ from .global_lb import (
 from .params import DEFAULT_PARAMS, SpeckParams
 from .passes import PassResult, radix_sort_time_s, run_pass
 
-__all__ = ["speck_multiply", "SpeckEngine"]
+__all__ = ["speck_multiply", "PlanHit", "SpeckEngine"]
+
+
+@dataclass(frozen=True)
+class PlanHit:
+    """What every hit on one ready plan charges, derived once per plan.
+
+    A hit reuses the plan's row analysis, block plans and pass records,
+    so its stage times, total, output size and (absent an injected spill)
+    decisions are constants of the plan and the engine's device.  The
+    engine builds this on a plan's first hit and keeps it on the plan
+    (:attr:`~repro.serve.plan_cache.CachedPlan.hit_record`); each hit
+    copies the two dicts.
+    """
+
+    #: The engine whose device and configurations priced the record.
+    engine: "SpeckEngine"
+    #: The pristine numeric pass record every hit charges.
+    num: PassResult
+    #: Non-zeros of C, summed once from the plan's row sizes.
+    c_nnz: int
+    #: Device bytes of C (the hit's one output allocation).
+    output_bytes: int
+    #: The hit's stage times and decisions; each hit copies both.
+    stage_times: Dict[str, float]
+    decisions: Dict[str, object]
+    #: Call overhead plus every stage: a hit's modelled seconds.
+    time_s: float
+
+
+def _pass_decisions(
+    use_lb_sym: bool, use_lb_num: bool, ratio_sym: float, ratio_num: float,
+    sym: PassResult, num: PassResult,
+) -> Dict[str, object]:
+    """The decision entries every successful attempt reports."""
+    return dict(
+        used_lb_symbolic=use_lb_sym,
+        used_lb_numeric=use_lb_num,
+        ratio_symbolic=ratio_sym,
+        ratio_numeric=ratio_num,
+        accum_blocks_symbolic=sym.accum_blocks,
+        accum_blocks_numeric=num.accum_blocks,
+        global_hash_blocks=sym.global_hash_blocks + num.global_hash_blocks,
+        mean_group_size=num.mean_group_size,
+        mean_utilization=num.mean_utilization,
+    )
+
+
+def _trace_kernels(
+    trace: Trace, stage: str, rec: PassResult, configs: list[KernelConfig]
+) -> None:
+    """One trace record per configuration ``rec`` launched."""
+    for cfg_id, t in sorted(rec.kernel_times.items()):
+        trace.record(
+            f"{stage} k{cfg_id}", t, category="kernel",
+            meta={
+                "threads": configs[cfg_id].threads,
+                "scratch": configs[cfg_id].scratch_bytes,
+            },
+        )
+
+
+def _trace_numeric(
+    trace: Trace, num: PassResult, sorting_s: float, use_lb_sym: bool,
+    use_lb_num: bool, configs: list[KernelConfig],
+) -> None:
+    """The trace records a cold attempt and a hit share: numeric kernels,
+    the radix sort and the decision mark."""
+    _trace_kernels(trace, "numeric", num, configs)
+    if sorting_s > 0:
+        trace.record(
+            "radix sort", sorting_s, category="stage",
+            meta={"entries": num.radix_entries},
+        )
+    trace.mark(
+        "decisions",
+        lb_symbolic=use_lb_sym,
+        lb_numeric=use_lb_num,
+        accumulators=str(num.accum_blocks),
+    )
 
 
 class SpeckEngine:
@@ -83,8 +162,8 @@ class SpeckEngine:
         plan skips row analysis, both load-balancing stages and the whole
         symbolic pass — their outputs depend only on the operand structure
         the plan was keyed on — so the cost model charges only the numeric
-        pass, sorting, and call overhead.  An unready plan is populated
-        from the cold run's artifacts as a side effect.
+        pass, sorting, and call overhead (see :meth:`_hit`).  An unready
+        plan is populated from the cold run's artifacts as a side effect.
 
         Pass a :class:`~repro.estimate.MultiplyEstimate` to plan
         *speculatively* on a cold run: the estimation kernel's modelled
@@ -107,8 +186,6 @@ class SpeckEngine:
         if mode not in ("model", "execute"):
             raise ValueError(f"unknown mode {mode!r}")
         ctx = ctx or MultiplyContext(a, b)
-        if plan is not None and plan.ready:
-            ctx.seed_structure(plan.analysis, plan.c_row_nnz)
         fault_plan = getattr(ctx, "faults", None)
         scope = (
             fault_plan.scope(self.name, getattr(ctx, "case_name", ""))
@@ -116,6 +193,8 @@ class SpeckEngine:
             else FaultScope(None, self.name)
         )
         try:
+            if plan is not None and plan.ready:
+                return self._hit(ctx, plan, mode, trace, scope)
             return self._attempt(
                 ctx, mode, trace, self.params, self.configs, scope,
                 retry_s=0.0, plan=plan, estimate=estimate,
@@ -145,6 +224,7 @@ class SpeckEngine:
                 # The fallback recomputes from scratch (forced LB and a
                 # reduced config set invalidate any cached plan; the retry
                 # runs exact — re-speculating after a failure is pointless).
+                # A failed hit seeded ctx, so no structure is recomputed.
                 res = self._attempt(
                     ctx, mode, trace, retry_params, retry_configs, scope,
                     retry_s=wasted, plan=None,
@@ -169,179 +249,155 @@ class SpeckEngine:
         plan: Optional["CachedPlan"] = None,
         estimate: Optional["MultiplyEstimate"] = None,
     ) -> SpGEMMResult:
-        """One full pipeline attempt; raises :class:`SpGEMMError` on
-        failure with the simulated time already spent attached."""
+        """One cold pipeline attempt (a ready plan is served by
+        :meth:`_hit` instead); raises :class:`SpGEMMError` on failure with
+        the simulated time already spent attached.  An unready ``plan`` is
+        populated from the attempt's artifacts."""
         a = ctx.a
         device = self.device
         bins_bytes = 8 * a.rows + 64 * len(configs)
         analysis = ctx.analysis
         stage_times: dict[str, float] = {}
         decisions: dict[str, object] = {}
-        plan_hit = plan is not None and plan.ready
 
         try:
             ledger = MemoryLedger(
                 device, resident_bytes=ctx.input_bytes, faults=scope
             )
-            if plan_hit:
-                # ---- 1-4. reused from the cached plan -----------------
-                # Analysis, both binning stages and the symbolic pass all
-                # derive from the operand structure alone; the plan holds
-                # their outputs, so the model charges them nothing and no
-                # kernels (hence no fault-injection sites) run for them.
-                stage_times.update(
-                    analysis=0.0, symbolic_lb=0.0, symbolic=0.0, numeric_lb=0.0
+            speculative = estimate is not None
+            if speculative:
+                # ---- 1+3 replaced: sampled estimation -----------------
+                # The estimation kernel stands in for the exact
+                # analysis and symbolic passes; its bounds are
+                # verified below once the realized structure is known.
+                scope.enter_stage("estimate")
+                scope.on_launch("estimate")
+                skew = scope.estimate_skew()
+                est = estimate if skew is None else estimate.skewed(skew)
+                if skew is not None:
+                    decisions["estimate_skew"] = float(skew)
+                stage_times["estimate"] = est.time_s
+                stage_times["analysis"] = 0.0
+                sym_inputs = (
+                    analysis.products,
+                    float(est.ratio_symbolic),
+                    int(est.prod_max.bound),
                 )
-                use_lb_sym, use_lb_num = plan.use_lb_symbolic, plan.use_lb_numeric
-                ratio_sym, ratio_num = plan.ratio_symbolic, plan.ratio_numeric
-                plan_sym, plan_num, sym = plan.plan_sym, plan.plan_num, plan.sym
-                c_row_nnz = ctx.c_row_nnz
-                decisions["plan_cache"] = "hit"
-                scope.enter_stage("numeric_lb")
-                # Output allocation (excluded from time per the paper's
-                # methodology, included in peak memory).
-                ledger.alloc(ctx.output_bytes, "C")
             else:
-                speculative = estimate is not None
-                if speculative:
-                    # ---- 1+3 replaced: sampled estimation -------------
-                    # The estimation kernel stands in for the exact
-                    # analysis and symbolic passes; its bounds are
-                    # verified below once the realized structure is known.
-                    scope.enter_stage("estimate")
-                    scope.on_launch("estimate")
-                    skew = scope.estimate_skew()
-                    est = estimate if skew is None else estimate.skewed(skew)
-                    if skew is not None:
-                        decisions["estimate_skew"] = float(skew)
-                    stage_times["estimate"] = est.time_s
-                    stage_times["analysis"] = 0.0
-                    sym_inputs = (
-                        analysis.products,
-                        float(est.ratio_symbolic),
-                        int(est.prod_max.bound),
-                    )
-                else:
-                    # ---- 1. row analysis -----------------------------
-                    scope.enter_stage("analysis")
-                    scope.on_launch("analysis")
-                    stage_times["analysis"] = analysis_time_s(a.nnz, device)
-                    sym_inputs = symbolic_inputs(analysis)
-                ratio_sym = sym_inputs[1]
+                # ---- 1. row analysis ---------------------------------
+                scope.enter_stage("analysis")
+                scope.on_launch("analysis")
+                stage_times["analysis"] = analysis_time_s(a.nnz, device)
+                sym_inputs = symbolic_inputs(analysis)
+            ratio_sym = sym_inputs[1]
 
-                # ---- 2. symbolic load balancing -----------------------
-                scope.enter_stage("symbolic_lb")
-                use_lb_sym, plan_sym, stage_times["symbolic_lb"] = self._bin_stage(
-                    "symbolic", sym_inputs, a.rows, params, configs, scope
+            # ---- 2. symbolic load balancing ---------------------------
+            scope.enter_stage("symbolic_lb")
+            use_lb_sym, plan_sym, stage_times["symbolic_lb"] = self._bin_stage(
+                "symbolic", sym_inputs, a.rows, params, configs, scope
+            )
+            if use_lb_sym:
+                ledger.alloc(bins_bytes, "symbolic bins")
+
+            # ---- 3. symbolic SpGEMM -----------------------------------
+            scope.enter_stage("symbolic")
+            c_row_nnz = ctx.c_row_nnz
+            if speculative:
+                # The symbolic kernel is skipped: C is allocated at
+                # the estimate's confidence bound and the numeric
+                # kernels emit row sizes directly into it.
+                stage_times["symbolic"] = 0.0
+                ledger.alloc(
+                    device_csr_bytes(a.rows, int(est.c_nnz.bound)),
+                    "C (speculative bound)",
                 )
-                if use_lb_sym:
-                    ledger.alloc(bins_bytes, "symbolic bins")
-
-                # ---- 3. symbolic SpGEMM -------------------------------
-                scope.enter_stage("symbolic")
-                c_row_nnz = ctx.c_row_nnz
-                if speculative:
-                    # The symbolic kernel is skipped: C is allocated at
-                    # the estimate's confidence bound and the numeric
-                    # kernels emit row sizes directly into it.
-                    stage_times["symbolic"] = 0.0
-                    ledger.alloc(
-                        device_csr_bytes(a.rows, int(est.c_nnz.bound)),
-                        "C (speculative bound)",
+                decisions["speculative"] = True
+                decisions["estimate_sample_size"] = est.sample_size
+                bound_ok = (
+                    analysis.prod_max <= est.prod_max.bound
+                    and ctx.c_nnz <= est.c_nnz.bound
+                    and analysis.prod_total <= est.products.bound
+                )
+                if bound_ok:
+                    # The symbolic plan is final: price its record
+                    # for the plan.  run_pass is host-side pure, so
+                    # no symbolic kernels run (hence no launch or
+                    # spill sites).
+                    sym = sym_pristine = run_pass(
+                        "symbolic", analysis, plan_sym, c_row_nnz,
+                        configs, params, device,
                     )
-                    decisions["speculative"] = True
-                    decisions["estimate_sample_size"] = est.sample_size
-                    bound_ok = (
-                        analysis.prod_max <= est.prod_max.bound
-                        and ctx.c_nnz <= est.c_nnz.bound
-                        and analysis.prod_total <= est.products.bound
-                    )
-                    if bound_ok:
-                        # The symbolic plan is final: price its record
-                        # for the plan.  run_pass is host-side pure, so
-                        # no symbolic kernels run (hence no launch or
-                        # spill sites).
-                        sym = sym_pristine = run_pass(
-                            "symbolic", analysis, plan_sym, c_row_nnz,
-                            configs, params, device,
-                        )
-                    else:
-                        # ---- fallback: the realized stats exceed the
-                        # estimate's bounds — run the full exact analysis
-                        # and symbolic pass after the fact, re-deriving
-                        # every decision exactly, and charge it all into
-                        # stage_times["fallback"].  The wasted estimation
-                        # time and oversized/undersized C stay charged too.
-                        scope.enter_stage("fallback")
-                        scope.on_launch("analysis")
-                        fallback_s = analysis_time_s(a.nnz, device)
-                        sym_inputs = symbolic_inputs(analysis)
-                        ratio_sym = sym_inputs[1]
-                        spec_binned = use_lb_sym  # bins already allocated
-                        use_lb_sym, plan_sym, lb_s = self._bin_stage(
-                            "symbolic", sym_inputs, a.rows, params, configs, scope
-                        )
-                        if use_lb_sym and not spec_binned:
-                            ledger.alloc(bins_bytes, "symbolic bins")
-                        fallback_s += lb_s
-                        sym_pristine, sym = self._symbolic_pass(
-                            analysis, plan_sym, c_row_nnz, params, configs,
-                            scope, ledger, decisions,
-                        )
-                        fallback_s += sym.time_s
-                        stage_times["fallback"] = fallback_s
-                        ledger.alloc(ctx.output_bytes, "C")
-                        decisions["speculative_fallback"] = True
-                        if plan is not None:
-                            # The fallback computed the full exact pipeline:
-                            # the captured plan is as good as a full-mode one.
-                            plan.mode = "full"
-                        speculative = False
                 else:
+                    # ---- fallback: the realized stats exceed the
+                    # estimate's bounds — run the full exact analysis
+                    # and symbolic pass after the fact, re-deriving
+                    # every decision exactly, and charge it all into
+                    # stage_times["fallback"].  The wasted estimation
+                    # time and oversized/undersized C stay charged too.
+                    scope.enter_stage("fallback")
+                    scope.on_launch("analysis")
+                    fallback_s = analysis_time_s(a.nnz, device)
+                    sym_inputs = symbolic_inputs(analysis)
+                    ratio_sym = sym_inputs[1]
+                    spec_binned = use_lb_sym  # bins already allocated
+                    use_lb_sym, plan_sym, lb_s = self._bin_stage(
+                        "symbolic", sym_inputs, a.rows, params, configs, scope
+                    )
+                    if use_lb_sym and not spec_binned:
+                        ledger.alloc(bins_bytes, "symbolic bins")
+                    fallback_s += lb_s
                     sym_pristine, sym = self._symbolic_pass(
                         analysis, plan_sym, c_row_nnz, params, configs,
                         scope, ledger, decisions,
                     )
-                    stage_times["symbolic"] = sym.time_s
-
-                    # Output allocation (excluded from time per the paper's
-                    # methodology, included in peak memory).
+                    fallback_s += sym.time_s
+                    stage_times["fallback"] = fallback_s
                     ledger.alloc(ctx.output_bytes, "C")
-
-                # ---- 4. numeric load balancing ------------------------
-                scope.enter_stage("numeric_lb")
-                if speculative:
-                    # Conservative speculative sizing: bin capacities from
-                    # the per-row product counts (always >= the output row
-                    # sizes the exact path would use), decision ratio from
-                    # the sampled output stats.
-                    fill = max(params.numeric_max_fill, 1e-9)
-                    num_inputs = (
-                        np.ceil(analysis.products / fill).astype(np.int64),
-                        float(est.ratio_numeric),
-                        int(np.ceil(est.c_row_max.bound / fill)),
-                    )
-                else:
-                    num_inputs = numeric_inputs(c_row_nnz, params)
-                ratio_num = num_inputs[1]
-                use_lb_num, plan_num, stage_times["numeric_lb"] = self._bin_stage(
-                    "numeric", num_inputs, a.rows, params, configs, scope
+                    decisions["speculative_fallback"] = True
+                    if plan is not None:
+                        # The fallback computed the full exact pipeline:
+                        # the captured plan is as good as a full-mode one.
+                        plan.mode = "full"
+                    speculative = False
+            else:
+                sym_pristine, sym = self._symbolic_pass(
+                    analysis, plan_sym, c_row_nnz, params, configs,
+                    scope, ledger, decisions,
                 )
-                if use_lb_num:
-                    ledger.alloc(bins_bytes, "numeric bins")
+                stage_times["symbolic"] = sym.time_s
+
+                # Output allocation (excluded from time per the paper's
+                # methodology, included in peak memory).
+                ledger.alloc(ctx.output_bytes, "C")
+
+            # ---- 4. numeric load balancing ----------------------------
+            scope.enter_stage("numeric_lb")
+            if speculative:
+                # Conservative speculative sizing: bin capacities from
+                # the per-row product counts (always >= the output row
+                # sizes the exact path would use), decision ratio from
+                # the sampled output stats.
+                fill = max(params.numeric_max_fill, 1e-9)
+                num_inputs = (
+                    np.ceil(analysis.products / fill).astype(np.int64),
+                    float(est.ratio_numeric),
+                    int(np.ceil(est.c_row_max.bound / fill)),
+                )
+            else:
+                num_inputs = numeric_inputs(c_row_nnz, params)
+            ratio_num = num_inputs[1]
+            use_lb_num, plan_num, stage_times["numeric_lb"] = self._bin_stage(
+                "numeric", num_inputs, a.rows, params, configs, scope
+            )
+            if use_lb_num:
+                ledger.alloc(bins_bytes, "numeric bins")
 
             # ---- 5. numeric SpGEMM ------------------------------------
             scope.enter_stage("numeric")
             scope.on_launch("numeric")
-            if plan_hit and plan.num is not None:
-                # run_pass is a pure function of (structure, plan, params,
-                # device): reuse the cold run's record.  The stage is still
-                # charged in full — only host-side recomputation is skipped.
-                num_pristine = plan.num
-            else:
-                num_pristine = run_pass(
-                    "numeric", analysis, plan_num, c_row_nnz, configs, params, device
-                )
+            num_pristine = run_pass(
+                "numeric", analysis, plan_num, c_row_nnz, configs, params, device
+            )
             num = self._spill(
                 "numeric", num_pristine, c_row_nnz, configs, scope, ledger, decisions
             )
@@ -361,67 +417,40 @@ class SpeckEngine:
 
         if trace is not None:
             trace.record("call overhead", device.call_overhead_s, category="host")
-            if plan_hit:
-                trace.mark("plan cache hit", key=plan.key)
-            else:
-                if "estimate" in stage_times:
-                    trace.record(
-                        "estimate (sampled)", stage_times["estimate"],
-                        category="stage",
-                        meta={"sample": decisions.get("estimate_sample_size")},
-                    )
-                if stage_times["analysis"] > 0.0:
-                    trace.record(
-                        "analysis", stage_times["analysis"], category="stage"
-                    )
-                if "fallback" in stage_times:
-                    trace.record(
-                        "fallback (exact)", stage_times["fallback"],
-                        category="stage",
-                        meta={"cause": "estimate bound exceeded"},
-                    )
-                if use_lb_sym:
-                    trace.record(
-                        "symbolic LB", stage_times["symbolic_lb"], category="stage",
-                        meta={"blocks": plan_sym.n_blocks},
-                    )
-                for cfg_id, t in sorted(sym.kernel_times.items()):
-                    trace.record(
-                        f"symbolic k{cfg_id}", t, category="kernel",
-                        meta={
-                            "threads": configs[cfg_id].threads,
-                            "scratch": configs[cfg_id].scratch_bytes,
-                        },
-                    )
-                if use_lb_num:
-                    trace.record(
-                        "numeric LB", stage_times["numeric_lb"], category="stage",
-                        meta={"blocks": plan_num.n_blocks},
-                    )
-            for cfg_id, t in sorted(num.kernel_times.items()):
+            if "estimate" in stage_times:
                 trace.record(
-                    f"numeric k{cfg_id}", t, category="kernel",
-                    meta={
-                        "threads": configs[cfg_id].threads,
-                        "scratch": configs[cfg_id].scratch_bytes,
-                    },
+                    "estimate (sampled)", stage_times["estimate"],
+                    category="stage",
+                    meta={"sample": decisions.get("estimate_sample_size")},
                 )
-            if stage_times["sorting"] > 0:
+            if stage_times["analysis"] > 0.0:
                 trace.record(
-                    "radix sort", stage_times["sorting"], category="stage",
-                    meta={"entries": num.radix_entries},
+                    "analysis", stage_times["analysis"], category="stage"
                 )
-            trace.mark(
-                "decisions",
-                lb_symbolic=use_lb_sym,
-                lb_numeric=use_lb_num,
-                accumulators=str(num.accum_blocks),
-            )
+            if "fallback" in stage_times:
+                trace.record(
+                    "fallback (exact)", stage_times["fallback"],
+                    category="stage",
+                    meta={"cause": "estimate bound exceeded"},
+                )
+            if use_lb_sym:
+                trace.record(
+                    "symbolic LB", stage_times["symbolic_lb"], category="stage",
+                    meta={"blocks": plan_sym.n_blocks},
+                )
+            _trace_kernels(trace, "symbolic", sym, configs)
+            if use_lb_num:
+                trace.record(
+                    "numeric LB", stage_times["numeric_lb"], category="stage",
+                    meta={"blocks": plan_num.n_blocks},
+                )
+            _trace_numeric(trace, num, stage_times["sorting"], use_lb_sym,
+                           use_lb_num, configs)
 
         if retry_s > 0.0:
             stage_times["retry"] = retry_s
         total = device.call_overhead_s + sum(stage_times.values())
-        if plan is not None and not plan.ready:
+        if plan is not None:
             # Capture the cold run's structural artifacts for reuse.
             plan.populate(
                 analysis=analysis,
@@ -437,15 +466,7 @@ class SpeckEngine:
             )
             decisions["plan_cache"] = "miss"
         decisions.update(
-            used_lb_symbolic=use_lb_sym,
-            used_lb_numeric=use_lb_num,
-            ratio_symbolic=ratio_sym,
-            ratio_numeric=ratio_num,
-            accum_blocks_symbolic=sym.accum_blocks,
-            accum_blocks_numeric=num.accum_blocks,
-            global_hash_blocks=sym.global_hash_blocks + num.global_hash_blocks,
-            mean_group_size=num.mean_group_size,
-            mean_utilization=num.mean_utilization,
+            _pass_decisions(use_lb_sym, use_lb_num, ratio_sym, ratio_num, sym, num)
         )
 
         return SpGEMMResult(
@@ -459,6 +480,111 @@ class SpeckEngine:
             peak_mem_bytes=ledger.peak,
             stage_times=stage_times,
             decisions=decisions,
+        )
+
+    # ------------------------------------------------------------------
+    def _hit(
+        self,
+        ctx: MultiplyContext,
+        plan: "CachedPlan",
+        mode: str,
+        trace: Optional[Trace],
+        scope: FaultScope,
+    ) -> SpGEMMResult:
+        """Serve a ready plan; raises :class:`SpGEMMError` on failure with
+        the simulated time already spent attached.
+
+        Analysis, both binning stages and the symbolic pass derive from
+        the operand structure alone; the plan holds their outputs, so the
+        model charges them nothing and no kernels (hence no fault sites)
+        run for them.  Every other number comes from the plan's
+        :class:`PlanHit`, built on its first hit.  What runs per request
+        are the fault sites a hit can meet, in pipeline order: the C
+        allocation in the ``numeric_lb`` stage, the numeric launch, an
+        injected spill with its global-map pool, and the sorting launch
+        and key-buffer allocation.
+        """
+        rec = plan.hit_record
+        if rec is None or rec.engine is not self:
+            rec = plan.hit_record = self._plan_hit(plan)
+        ctx.seed_structure(plan.analysis, plan.c_row_nnz, rec.c_nnz)
+        device = self.device
+        decisions: Dict[str, object] = {"plan_cache": "hit"}
+        numeric_s = 0.0
+        try:
+            ledger = MemoryLedger(
+                device, resident_bytes=ctx.input_bytes, faults=scope
+            )
+            scope.enter_stage("numeric_lb")
+            # Output allocation (excluded from time per the paper's
+            # methodology, included in peak memory).
+            ledger.alloc(rec.output_bytes, "C")
+            scope.enter_stage("numeric")
+            scope.on_launch("numeric")
+            num = self._spill(
+                "numeric", rec.num, plan.c_row_nnz, self.configs, scope,
+                ledger, decisions,
+            )
+            numeric_s = num.time_s
+            scope.enter_stage("sorting")
+            if num.radix_entries:
+                scope.on_launch("sorting")
+                ledger.alloc(num.radix_entries * 8, "radix key buffers")
+        except SpGEMMError as err:
+            err.partial_time_s = device.call_overhead_s + numeric_s
+            raise
+
+        stage_times = dict(rec.stage_times)
+        if trace is not None:
+            trace.record("call overhead", device.call_overhead_s, category="host")
+            trace.mark("plan cache hit", key=plan.key)
+            _trace_numeric(trace, num, stage_times["sorting"],
+                           plan.use_lb_symbolic, plan.use_lb_numeric, self.configs)
+        if num is rec.num:
+            decisions = dict(rec.decisions)
+        else:  # an injected spill charged a copy of the plan's record
+            decisions.update(_pass_decisions(
+                plan.use_lb_symbolic, plan.use_lb_numeric, plan.ratio_symbolic,
+                plan.ratio_numeric, plan.sym, num,
+            ))
+        return SpGEMMResult(
+            method=self.name,
+            c=(
+                self._execute(ctx.a, ctx.b, ctx)
+                if mode == "execute"
+                else lambda: ctx.c  # built on the first read of result.c
+            ),
+            time_s=rec.time_s,
+            peak_mem_bytes=ledger.peak,
+            stage_times=stage_times,
+            decisions=decisions,
+        )
+
+    def _plan_hit(self, plan: "CachedPlan") -> PlanHit:
+        """Price every hit on ``plan`` once: the per-plan constants."""
+        num = plan.num
+        if num is None:  # populated without a numeric record: price it once
+            num = run_pass(
+                "numeric", plan.analysis, plan.plan_num, plan.c_row_nnz,
+                self.configs, self.params, self.device,
+            )
+        c_nnz = int(plan.c_row_nnz.sum())
+        stage_times = dict(
+            analysis=0.0, symbolic_lb=0.0, symbolic=0.0, numeric_lb=0.0,
+            numeric=num.time_s,
+            sorting=radix_sort_time_s(num.radix_entries, self.device),
+        )
+        return PlanHit(
+            engine=self,
+            num=num,
+            c_nnz=c_nnz,
+            output_bytes=device_csr_bytes(plan.c_row_nnz.size, c_nnz),
+            stage_times=stage_times,
+            decisions={"plan_cache": "hit", **_pass_decisions(
+                plan.use_lb_symbolic, plan.use_lb_numeric, plan.ratio_symbolic,
+                plan.ratio_numeric, plan.sym, num,
+            )},
+            time_s=self.device.call_overhead_s + sum(stage_times.values()),
         )
 
     # ------------------------------------------------------------------

@@ -167,6 +167,11 @@ class AdmissionController:
         self.device = device
         self.policy = policy or AdmissionPolicy()
         self.brownout = brownout or BrownoutPolicy()
+        #: Committed bytes allowed before sheds start (the policy and the
+        #: device are frozen, so this is fixed per controller).
+        self.memory_limit = int(
+            (1.0 - self.policy.memory_headroom_frac) * device.global_mem_bytes
+        )
         self.sheds = 0
         self.shed_reasons: Dict[str, int] = {}
         #: Brownout decisions per rung (``full`` counted too, so the
@@ -192,14 +197,6 @@ class AdmissionController:
         if footprint is not None:
             return max(int(footprint), int(input_bytes))
         return int(self.policy.output_factor * input_bytes)
-
-    @property
-    def memory_limit(self) -> int:
-        """Committed bytes allowed before sheds start."""
-        return int(
-            (1.0 - self.policy.memory_headroom_frac)
-            * self.device.global_mem_bytes
-        )
 
     def admit(
         self,

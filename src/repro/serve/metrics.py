@@ -20,7 +20,7 @@ import threading
 from bisect import bisect_left
 from typing import Dict, List, Optional
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricHandles", "MetricsRegistry"]
 
 
 class Counter:
@@ -50,8 +50,9 @@ class Gauge:
         self.max_seen = 0.0
 
     def set(self, value: float) -> None:
-        self.value = float(value)
-        self.max_seen = max(self.max_seen, self.value)
+        value = self.value = float(value)
+        if value > self.max_seen:
+            self.max_seen = value
 
     def inc(self, amount: float = 1.0) -> None:
         self.set(self.value + amount)
@@ -100,12 +101,16 @@ class Histogram:
     def observe(self, value: float) -> None:
         if not math.isfinite(value):
             raise ValueError("histogram values must be finite")
-        v = max(0.0, float(value))
+        v = float(value)
+        if v <= 0.0:
+            v = 0.0  # clamps -0.0 too
         self._counts[bisect_left(self._bounds, v)] += 1  # first bound >= v
         self.count += 1
         self.total += v
-        self.min = v if self.min is None else min(self.min, v)
-        self.max = v if self.max is None else max(self.max, v)
+        if self.min is None or v < self.min:
+            self.min = v
+        if self.max is None or v > self.max:
+            self.max = v
 
     @property
     def mean(self) -> float:
@@ -185,3 +190,24 @@ class MetricsRegistry:
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
+
+
+class MetricHandles:
+    """A registry's metrics, each looked up once: ``handles(kind, name,
+    help)`` returns the registry's ``kind`` metric ``name``.
+
+    The registry creates a metric on its first lookup, so binding on
+    first use keeps snapshots listing only what some caller touched;
+    later calls skip the registry's lock and name lookup.  Handles are
+    keyed by name alone: a name belongs to one kind.
+    """
+
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self.registry = registry
+        self._bound: Dict[str, object] = {}
+
+    def __call__(self, kind: str, name: str, help: str = ""):
+        handle = self._bound.get(name)
+        if handle is None:
+            handle = self._bound[name] = getattr(self.registry, kind)(name, help)
+        return handle

@@ -25,7 +25,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -34,6 +34,9 @@ from ..core.global_lb import BlockPlan
 from ..core.passes import PassResult
 from ..extensions.multigpu import LINK_BW, LINK_LATENCY
 from ..matrices.csr import CSR
+
+if TYPE_CHECKING:  # pragma: no cover - the engine imports this module
+    from ..core.speck import PlanHit
 
 __all__ = [
     "CachedPlan",
@@ -139,6 +142,13 @@ class CachedPlan:
     verified_checksum: Optional[str] = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: What every hit on this plan charges (stage times, decisions, the
+    #: size of C), derived once by the engine on the first hit — a few
+    #: scalars and two small dicts, no per-row arrays.  Reset when the
+    #: plan is populated, and by ``dataclasses.replace``.
+    hit_record: Optional["PlanHit"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def populate(
         self,
@@ -165,6 +175,7 @@ class CachedPlan:
         self.plan_num = plan_num
         self.sym = sym
         self.num = num
+        self.hit_record = None
         self.ready = True
 
     def serves(self, mode: str) -> bool:
@@ -254,7 +265,8 @@ class PlanCache:
         #: Registrations refused up front because the *estimated* plan
         #: size exceeded the whole budget (see ``get_or_create``).
         self.budget_rejects = 0
-        self._key_hits: Dict[str, int] = {}
+        #: Lifetime hits per key; ``stats`` joins each key for reports.
+        self._key_hits: Dict[Tuple[str, ...], int] = {}
 
     # ------------------------------------------------------------------
     def get_or_create(
@@ -304,8 +316,7 @@ class PlanCache:
                 self._plans.move_to_end(key)
                 plan.hits += 1
                 self.hits += 1
-                ks = "|".join(key)
-                self._key_hits[ks] = self._key_hits.get(ks, 0) + 1
+                self._key_hits[key] = self._key_hits.get(key, 0) + 1
                 return plan, True
             self.misses += 1
             if plan is None:
@@ -446,7 +457,10 @@ class PlanCache:
         """
         with self._lock:
             per_key = dict(
-                sorted(self._key_hits.items(), key=lambda kv: (-kv[1], kv[0]))
+                sorted(
+                    (("|".join(k), n) for k, n in self._key_hits.items()),
+                    key=lambda kv: (-kv[1], kv[0]),
+                )
             )
             return PlanCacheStats(
                 hits=self.hits,

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Optional
 
@@ -50,6 +50,7 @@ from .admission import (
     BrownoutInfo,
     ServiceReject,
 )
+from .metrics import MetricHandles
 from .service import PeerRung, SpGEMMService
 
 __all__ = [
@@ -87,11 +88,19 @@ class Request:
     #: and must return an :class:`~repro.result.SpGEMMResult`; ``None``
     #: dispatches a plain ``service.multiply``.
     workload: Optional[Callable[..., SpGEMMResult]] = None
+    #: ``input_bytes()``, computed on first use (A and B never change).
+    _input_bytes: Optional[int] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def input_bytes(self) -> int:
-        return device_csr_bytes(self.a.rows, self.a.nnz) + device_csr_bytes(
-            self.b.rows, self.b.nnz
-        )
+        """Device bytes of A and B, computed once per request."""
+        nbytes = self._input_bytes
+        if nbytes is None:
+            nbytes = self._input_bytes = device_csr_bytes(
+                self.a.rows, self.a.nnz
+            ) + device_csr_bytes(self.b.rows, self.b.nnz)
+        return nbytes
 
 
 @dataclass
@@ -141,6 +150,10 @@ class InFlight:
 
 def _arrival_order(req: Request):
     return (req.arrival_s, req.id)
+
+
+#: Queue orders without a cost bucket: priority, then arrival.
+_queue_order = attrgetter("priority", "arrival_s", "id")
 
 
 #: In-flight lists stay sorted by completion: finish time, then id.
@@ -213,6 +226,7 @@ class ServeScheduler:
         #: Estimated-cost queue ordering (see ``estimator``).
         self.order_by_cost = estimator is not None
         self.metrics = service.metrics
+        self._metric = MetricHandles(self.metrics)
         self.workers: List[float] = [0.0] * int(n_workers)
         self.reset()
 
@@ -256,16 +270,17 @@ class ServeScheduler:
     def admit(self, req: Request) -> Optional[ServiceReject]:
         """Shed ``req``, or queue it and commit its footprint bytes."""
         footprint = self._footprint(req)
+        input_bytes = req.input_bytes()
         reject = self.admission.admit(
             req.id,
             queue_depth=len(self.queue),
-            input_bytes=req.input_bytes(),
+            input_bytes=input_bytes,
             committed_bytes=self.committed,
             footprint=footprint,
         )
         if reject is None:
             self.enqueue(
-                req, self.admission.estimate_bytes(req.input_bytes(), footprint)
+                req, self.admission.estimate_bytes(input_bytes, footprint)
             )
         return reject
 
@@ -307,7 +322,7 @@ class ServeScheduler:
                 key=lambda r: (r.priority, self._cost_bucket(r), r.arrival_s, r.id)
             )
         else:
-            queue.sort(key=lambda r: (r.priority, r.arrival_s, r.id))
+            queue.sort(key=_queue_order)
         batch: List[Request] = []
         head_fp: Optional[str] = None
         kept: List[Request] = []
@@ -333,9 +348,11 @@ class ServeScheduler:
                 break
         queue[:] = kept
         if len(batch) > 1:
-            self.metrics.counter("scheduler.batches", "multi-request dispatches").inc()
-            self.metrics.counter(
-                "scheduler.batched_requests", "requests served via batching"
+            m = self._metric
+            m("counter", "scheduler.batches", "multi-request dispatches").inc()
+            m(
+                "counter", "scheduler.batched_requests",
+                "requests served via batching",
             ).inc(len(batch) - 1)
         return batch
 
@@ -383,14 +400,16 @@ class ServeScheduler:
 _STATUS_COUNTERS = {"shed": "shed", "timeout": "timeouts", "failed": "failed"}
 
 
-def record_outcome(registry, prefix: str, out: RequestOutcome) -> None:
+def record_outcome(
+    metric: MetricHandles, prefix: str, out: RequestOutcome
+) -> None:
     """Count one terminal outcome as ``<prefix>.completed|shed|timeouts|
     failed``; a served one also feeds ``<prefix>.latency_s``."""
     if not out.ok:
-        registry.counter(f"{prefix}.{_STATUS_COUNTERS[out.status]}").inc()
+        metric("counter", f"{prefix}.{_STATUS_COUNTERS[out.status]}").inc()
         return
-    registry.counter(f"{prefix}.completed", "requests served").inc()
-    registry.histogram(f"{prefix}.latency_s", "arrival to completion").observe(
+    metric("counter", f"{prefix}.completed", "requests served").inc()
+    metric("histogram", f"{prefix}.latency_s", "arrival to completion").observe(
         out.latency_s
     )
 
@@ -407,9 +426,11 @@ class LocalRouter:
     modelled service seconds (``time_s`` plus the plan-source ladder's
     ``plan_fetch_s``); ``retry`` returns ``None`` to re-place a
     failed request, else its terminal failure; ``settled`` sees every
-    outcome.  Here a retry re-queues up to the node's ``max_retries``
-    (no budget, breaker or replica fetch) and the node's own registry
-    records ``scheduler.*`` metrics.
+    outcome.  A router with no ticks or no crashes sets ``tick`` or
+    ``before_dispatch`` to ``None`` and the loop skips it, as it does
+    here.  Here a retry re-queues up to the node's ``max_retries`` (no
+    budget, breaker or replica fetch) and the node's own registry
+    records ``scheduler.*`` metrics, each handle bound on first use.
     """
 
     #: A local stream is never interrupted, so an outcome is final when
@@ -419,23 +440,22 @@ class LocalRouter:
     settle_at_dispatch = True
     #: Virtual time of the next router tick.
     next_tick_s: Optional[float] = None
+    #: A lone node re-places nothing on a tick and never crashes, so
+    #: the loop calls neither hook.
+    tick = None
+    before_dispatch = None
 
     def __init__(self, node: ServeScheduler) -> None:
         self.node = node
         self.nodes = {node.name: node}
         self.outcomes: List[RequestOutcome] = []
-
-    def tick(self, now: float) -> Iterable[Request]:
-        return ()
+        self._metric = node._metric
 
     def arrive(self, req: Request) -> None:
-        self.node.metrics.counter("scheduler.arrivals", "requests offered").inc()
+        self._metric("counter", "scheduler.arrivals", "requests offered").inc()
 
     def route(self, req: Request, now: float) -> Optional[ServeScheduler]:
         return self.node
-
-    def before_dispatch(self, node, now: float) -> Optional[List[Request]]:
-        return None
 
     def execute(self, node, req: Request, brownout: BrownoutInfo, now: float):
         res = node.execute(req, brownout)
@@ -447,20 +467,20 @@ class LocalRouter:
         if req.attempts >= self.node.max_retries:
             return info
         req.attempts += 1
-        self.node.metrics.counter(
-            "scheduler.retries", "requests re-queued after failure"
+        self._metric(
+            "counter", "scheduler.retries", "requests re-queued after failure"
         ).inc()
         return None
 
     def note_queue(self, node: ServeScheduler) -> None:
-        node.metrics.gauge("scheduler.queue_depth", "requests waiting").set(
+        self._metric("gauge", "scheduler.queue_depth", "requests waiting").set(
             len(node.queue)
         )
 
     def settled(self, node, out: RequestOutcome) -> None:
-        record_outcome(self.node.metrics, "scheduler", out)
+        record_outcome(self._metric, "scheduler", out)
         if out.ok:
-            self.node.metrics.histogram("scheduler.wait_s", "queue wait").observe(
+            self._metric("histogram", "scheduler.wait_s", "queue wait").observe(
                 out.wait_s
             )
 
@@ -468,20 +488,21 @@ class LocalRouter:
 def run_event_loop(router, requests: Iterable[Request]) -> None:
     """Replay an arrival timeline over ``router.nodes`` in virtual time.
 
-    Each pass at time ``now``: the router's tick, then completions due,
-    then arrivals (admission on the routed node), then one dispatch per
-    idle stream of every alive node in name order (fault checks, pop
-    with deadline expiry and same-A batching, execution), then ``now``
-    advances to the next event: an arrival, a stream freeing under
-    queued work, the router's next tick, or (for a router that settles
-    outcomes at completion) a completion.  A pass that re-placed work
-    runs again at the same ``now``.  Every request ends in exactly one
+    Each pass at time ``now``: the router's tick (if it has one), then
+    completions due, then arrivals (admission on the routed node), then
+    one dispatch per idle stream of every alive node in name order
+    (fault checks, pop with deadline expiry and same-A batching,
+    execution), then ``now`` advances to the next event: an arrival, a
+    stream freeing under queued work, the router's next tick, or (for a
+    router that settles outcomes at completion) a completion.  A pass
+    that re-placed work runs again at the same ``now``.  Every request ends in exactly one
     outcome in ``router.outcomes``; the router's hooks (see
     :class:`LocalRouter`) decide placement, retries and metrics.
     """
     arrivals = sorted(requests, key=_arrival_order)
     now = 0.0
     i = 0
+    tick, before_dispatch = router.tick, router.before_dispatch
 
     def settle(node, req: Request, status: str, finish_s: float, **kw) -> None:
         out = RequestOutcome(
@@ -535,8 +556,9 @@ def run_event_loop(router, requests: Iterable[Request]) -> None:
 
     nodes: List = []
     while True:
-        for req in router.tick(now):
-            place(req)
+        if tick is not None:
+            for req in tick(now):
+                place(req)
         if len(nodes) != len(router.nodes):
             # Autoscaler joiners enter the map (drained nodes stay in it).
             nodes = [router.nodes[name] for name in sorted(router.nodes)]
@@ -567,7 +589,11 @@ def run_event_loop(router, requests: Iterable[Request]) -> None:
             for w in node.idle_workers(now):
                 if not node.queue:
                     break
-                stranded = router.before_dispatch(node, now)
+                stranded = (
+                    before_dispatch(node, now)
+                    if before_dispatch is not None
+                    else None
+                )
                 if stranded is not None:
                     for req in sorted(stranded, key=_arrival_order):
                         retry(req, "crash", None, now)

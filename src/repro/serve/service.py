@@ -32,7 +32,7 @@ from ..gpu.trace import Trace
 from ..matrices.csr import CSR
 from ..result import SpGEMMResult
 from .admission import BROWNOUT_MODES, BrownoutInfo
-from .metrics import MetricsRegistry
+from .metrics import MetricHandles, MetricsRegistry
 from .plan_cache import CachedPlan, PlanCache, plan_key, plan_transfer_s
 from .plan_ir import compat_key, encode_plan, frame_checksum
 
@@ -127,7 +127,7 @@ class SpGEMMService:
             )
         self.plans = PlanCache(max_bytes=plan_cache_bytes)
         self.metrics = metrics or MetricsRegistry()
-        self._bound: Dict[str, object] = {}
+        self._metric = MetricHandles(self.metrics)
         self._contexts: "OrderedDict[Tuple[str, str], MultiplyContext]" = (
             OrderedDict()
         )
@@ -376,18 +376,6 @@ class SpGEMMService:
             if plan is not None:
                 return "peer", transfer_s
         return "cold", 0.0
-
-    def _metric(self, kind: str, name: str, help: str):
-        """The registry's ``kind`` metric ``name``, looked up once.
-
-        The registry creates a metric on its first lookup, so binding on
-        first use keeps snapshots listing only what some request touched;
-        later requests skip the registry's lock and name lookup.
-        """
-        handle = self._bound.get(name)
-        if handle is None:
-            handle = self._bound[name] = getattr(self.metrics, kind)(name, help)
-        return handle
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:

@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import MultiplyContext, SpeckEngine, SpeckParams, build_configs
 from repro.core.analysis import RowAnalysis
 from repro.core.config import KernelConfig
 from repro.core.global_lb import BlockPlan, balanced_plan, uniform_plan
-from repro.core.passes import block_aggregates, radix_sort_time_s, run_pass
+from repro.core.passes import (
+    PassResult, block_aggregates, radix_sort_time_s, run_pass,
+)
 from repro.estimate import estimate_multiply
 from repro.gpu import TITAN_V
 from repro.matrices.generators import (
@@ -307,6 +309,25 @@ class TestSpeculativeSymbolicRecord:
         assert np.array_equal(plan.plan_sym.row_order, exact.plan_sym.row_order)
         assert np.array_equal(plan.plan_sym.block_ptr, exact.plan_sym.block_ptr)
         assert _same_record(plan.sym, exact.sym)
+
+
+class TestMeanGroupSize:
+    @given(
+        st.lists(st.integers(min_value=0, max_value=2**31 - 1), max_size=300),
+        st.sampled_from([np.int64, np.int32]),
+    )
+    @example([], np.int64)
+    @example([], np.int32)
+    @example([0], np.int64)
+    @example([32, 32, 16], np.int32)
+    @example([2**44 - 1, 3, 7], np.int64)
+    @settings(max_examples=200)
+    def test_equals_numpy_mean(self, values, dtype):
+        """The integer-sum mean is bit-identical to ``np.mean`` (0 for no
+        blocks) while the sum stays below 2**53."""
+        g = np.array(values, dtype=dtype)
+        expected = float(g.mean()) if g.size else 0.0
+        assert PassResult(time_s=0.0, group_sizes=g).mean_group_size == expected
 
 
 class TestRadixSortCost:

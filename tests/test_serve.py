@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.context import device_csr_bytes
 from repro.core.params import DEFAULT_PARAMS
 from repro.eval.suite import MatrixCase, small_corpus
 from repro.faults import parse_fault_spec
@@ -153,6 +154,131 @@ class TestPlanSemantics:
         hit = svc.multiply(a, a)
         assert hit.decisions["plan_cache"] == "hit"
         assert hit.decisions["global_hash_blocks"] == 0
+
+
+class _UfuncSpy(np.ndarray):
+    """An array view that logs every ufunc call made on it (``.sum()``
+    runs as ``add.reduce``), then computes on the plain array."""
+
+    calls: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _UfuncSpy.calls.append((ufunc.__name__, method))
+        plain = [x.view(np.ndarray) if isinstance(x, _UfuncSpy) else x for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+class TestHitPath:
+    """A hit is served from its plan: per-plan constants, per-request
+    copies, and the same fault sites as the pipeline's tail."""
+
+    def test_hits_return_independent_dicts(self):
+        a = _mesh(20)
+        svc = SpGEMMService(TITAN_V, DEFAULT_PARAMS)
+        svc.multiply(a, a)
+        first, second = svc.multiply(a, a), svc.multiply(a, a)
+        assert first.decisions == second.decisions
+        assert first.stage_times == second.stage_times
+        expected = (dict(second.decisions), dict(second.stage_times))
+        first.decisions["plan_cache"] = "tampered"
+        first.decisions["extra"] = 1
+        first.stage_times["numeric"] = -1.0
+        first.stage_times.clear()
+        third = svc.multiply(a, a)
+        assert (second.decisions, second.stage_times) == expected
+        assert (third.decisions, third.stage_times) == expected
+        assert third.time_s == second.time_s
+
+    def test_row_sizes_are_summed_once_per_plan(self):
+        a = _mesh(20)
+        svc = SpGEMMService(TITAN_V, DEFAULT_PARAMS)
+        cold = svc.multiply(a, a)
+        plan = svc.plans.peek(plan_key(a, a))
+        c_nnz = int(plan.c_row_nnz.sum())
+        plan.c_row_nnz = plan.c_row_nnz.view(_UfuncSpy)
+        _UfuncSpy.calls = []
+        hits = [svc.multiply(a, a) for _ in range(5)]
+        # One add.reduce for the plan, none per request, none for the
+        # seeded context's c_nnz.
+        assert _UfuncSpy.calls == [("add", "reduce")]
+        assert svc.context_for(a, a).c_nnz == c_nnz
+        assert _UfuncSpy.calls == [("add", "reduce")]
+        assert all(h.peak_mem_bytes == hits[0].peak_mem_bytes for h in hits)
+        assert hits[0].peak_mem_bytes <= cold.peak_mem_bytes
+
+    def test_alloc_fault_on_c_fails_and_retries_cold(self):
+        a = _mesh(20)
+        svc = SpGEMMService(TITAN_V, DEFAULT_PARAMS)
+        svc.multiply(a, a)
+        clean = svc.multiply(a, a)
+        faults = parse_fault_spec("alloc:tag=C")
+        fired = []
+        faults.observer = fired.append
+        failed = svc.multiply(a, a, faults=faults, case_name="m")
+        assert not failed.valid and failed.retries == 1
+        # The hit allocates C in the numeric_lb stage; the cold retry
+        # allocates it after the symbolic pass.
+        assert [(e["attempt"], e["stage"]) for e in fired] == [
+            (1, "numeric_lb"), (2, "symbolic"),
+        ]
+        retried = svc.multiply(
+            a, a, faults=parse_fault_spec("alloc:tag=C:transient"), case_name="m"
+        )
+        assert retried.valid and retried.retries == 1
+        assert retried.decisions["retry_cause"] == "injected"
+        # The failed hit charged the call overhead only (nothing ran yet),
+        # and the retry re-ran the pipeline cold.
+        assert retried.stage_times["retry"] == (
+            TITAN_V.call_overhead_s + TITAN_V.malloc_s
+        )
+        assert retried.stage_times["analysis"] > 0.0
+        after = svc.multiply(a, a)
+        assert (after.time_s, after.decisions) == (clean.time_s, clean.decisions)
+
+    def test_sorting_launch_fault_charges_the_numeric_pass(self):
+        case = next(c for c in serve_corpus() if c.name == "rmat_s11")
+        a, b = case.matrices()
+        svc = SpGEMMService(TITAN_V, DEFAULT_PARAMS)
+        svc.multiply(a, b)
+        clean = svc.multiply(a, b)
+        assert clean.stage_times["sorting"] > 0.0
+        retried = svc.multiply(
+            a, b, faults=parse_fault_spec("launch:tag=sorting:transient"),
+            case_name="m",
+        )
+        assert retried.valid and retried.retries == 1
+        assert retried.stage_times["retry"] == (
+            TITAN_V.call_overhead_s + clean.stage_times["numeric"]
+            + TITAN_V.malloc_s
+        )
+
+    def test_forced_numeric_spill_on_a_hit_charges_a_global_map(self):
+        a = _mesh(20)
+        svc = SpGEMMService(TITAN_V, DEFAULT_PARAMS)
+        svc.multiply(a, a)
+        clean = svc.multiply(a, a)
+        spilled = svc.multiply(
+            a, a, faults=parse_fault_spec("spill:tag=numeric"), case_name="x"
+        )
+        assert spilled.valid and spilled.retries == 0
+        assert spilled.decisions["plan_cache"] == "hit"
+        assert spilled.decisions["forced_spill_numeric"] is True
+        assert list(spilled.decisions)[:2] == ["plan_cache", "forced_spill_numeric"]
+        assert spilled.decisions["global_hash_blocks"] == (
+            clean.decisions["global_hash_blocks"] + 1
+        )
+        assert spilled.peak_mem_bytes > clean.peak_mem_bytes
+        assert spilled.stage_times == clean.stage_times
+        assert spilled.time_s == clean.time_s
+        faults = parse_fault_spec("spill:tag=numeric;alloc:tag=numeric global maps")
+        fired = []
+        faults.observer = fired.append
+        failed = svc.multiply(a, a, faults=faults, case_name="x")
+        assert not failed.valid and failed.retries == 1
+        assert [(e["attempt"], e["site"], e["stage"]) for e in fired] == [
+            (1, "spill", "numeric"), (1, "alloc", "numeric"),
+            (2, "spill", "numeric"), (2, "alloc", "numeric"),
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +592,19 @@ class TestScheduler:
         assert by_id[0].ok and by_id[0].finish_s > second.arrival_s
         assert by_id[1].status == "shed"
         assert by_id[1].reject.reason == "memory_pressure"
+
+    def test_input_bytes_survive_a_retry(self):
+        a = gen.random_uniform(30, 40, 4.0, seed=5)
+        b = gen.random_uniform(40, 20, 3.0, seed=6)
+        req = Request(id=0, a=a, b=b, arrival_s=0.0, case_name="m")
+        sched = self._sched(n_workers=1, max_retries=1)
+        sched.faults = parse_fault_spec("launch:tag=numeric")
+        (out,) = sched.run([req])
+        assert out.status == "failed" and req.attempts == 1
+        assert req.input_bytes() == (
+            device_csr_bytes(a.rows, a.nnz) + device_csr_bytes(b.rows, b.nnz)
+        )
+        assert sched.committed == 0
 
     def test_rejects_bad_config(self):
         svc = SpGEMMService(TITAN_V, DEFAULT_PARAMS)
