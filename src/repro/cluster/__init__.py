@@ -31,7 +31,6 @@ from .node import ClusterNode, InFlight
 from .plan_index import PlanIndex, plan_transfer_s
 from .ring import HashRing, stable_hash
 from .router import (
-    BreakerPolicy,
     CircuitBreaker,
     ClusterRouter,
     RetryBudget,
@@ -42,7 +41,6 @@ from .router import (
 __all__ = [
     "AutoscalePolicy",
     "Autoscaler",
-    "BreakerPolicy",
     "CircuitBreaker",
     "ClusterBenchReport",
     "ClusterNode",

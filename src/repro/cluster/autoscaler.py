@@ -52,48 +52,49 @@ from .router import ClusterRouter
 __all__ = ["AutoscalePolicy", "Autoscaler", "ScaleEvent"]
 
 
+#: Minimum virtual seconds between two scale events (flap damping).
+COOLDOWN_S = 0.04
+#: Mean alive-node queue depth at or above which the fleet scales up.
+SCALE_UP_QUEUE = 4.0
+#: Mean alive-node queue depth at or below which the fleet scales down.
+SCALE_DOWN_QUEUE = 0.25
+#: Committed-bytes fraction of fleet memory at or above which the fleet
+#: scales up.  On estimator-equipped fleets the committed bytes are
+#: sampled footprint bounds — the forecast, not the blind heuristic.
+SCALE_UP_MEMORY_FRAC = 0.85
+#: Hottest plans a warm join hydrates from peers.
+WARM_TOP_K = 8
+#: Rolled-up hit count below which a plan is not worth replicating.
+REPLICATE_MIN_HITS = 8
+#: Desired alive holders per hot plan (home + spill targets).
+REPLICATION_FACTOR = 2
+
+
 @dataclass(frozen=True)
 class AutoscalePolicy:
-    """Knobs of the elastic fleet: SLOs, bounds, and warm-join depth."""
+    """Knobs of the elastic fleet: SLO, bounds, tick and warm join.
+
+    The scale and replication thresholds are the module constants above.
+    """
 
     #: Fleet size bounds; the autoscaler never leaves this range.
     min_nodes: int = 1
     max_nodes: int = 8
     #: Virtual seconds between autoscaler evaluations.
     interval_s: float = 0.02
-    #: Minimum virtual seconds between two scale events (flap damping).
-    cooldown_s: float = 0.04
     #: Latency SLO: fleet p99 above this requests a scale-up.
     target_p99_s: float = 0.2
-    #: Mean alive-node queue depth above which the fleet scales up.
-    scale_up_queue: float = 4.0
-    #: Mean alive-node queue depth below which the fleet scales down.
-    scale_down_queue: float = 0.25
-    #: Committed-bytes fraction of fleet memory above which the fleet
-    #: scales up.  On estimator-equipped fleets the committed bytes are
-    #: sampled footprint bounds — the forecast, not the blind heuristic.
-    scale_up_memory_frac: float = 0.85
     #: Hydrate joining nodes from the plan store / plan index before
     #: they take traffic (the warm-join path).
     warm_join: bool = True
-    #: Hottest plans a warm join hydrates from peers.
-    warm_top_k: int = 8
     #: Hottest plans proactively replicated each tick.
     replicate_top_k: int = 4
-    #: Rolled-up hit count below which a plan is not worth replicating.
-    replicate_min_hits: int = 8
-    #: Desired alive holders per hot plan (home + spill targets).
-    replication_factor: int = 2
 
     def __post_init__(self) -> None:
         if not (1 <= self.min_nodes <= self.max_nodes):
             raise ValueError("need 1 <= min_nodes <= max_nodes")
-        if self.interval_s <= 0 or self.cooldown_s < 0:
-            raise ValueError("interval_s must be positive, cooldown_s >= 0")
-        if self.scale_down_queue >= self.scale_up_queue:
-            raise ValueError("scale_down_queue must be below scale_up_queue")
-        if self.replication_factor < 1:
-            raise ValueError("replication_factor must be >= 1")
+        if self.interval_s <= 0:
+            raise ValueError("interval_s must be positive")
 
 
 @dataclass
@@ -183,7 +184,7 @@ class Autoscaler:
             self.next_eval_s += self.policy.interval_s
         self.replicate_hot(now)
         alive = self.router.alive_nodes()
-        if not alive or now < self.last_scale_s + self.policy.cooldown_s:
+        if not alive or now < self.last_scale_s + COOLDOWN_S:
             return []
         mean_queue = sum(n.queue_depth for n in alive) / len(alive)
         committed = sum(n.committed for n in alive)
@@ -191,11 +192,11 @@ class Autoscaler:
         mem_frac = committed / limit if limit else 0.0
         p99 = self.p99_s()
         reason = None
-        if mean_queue >= self.policy.scale_up_queue:
+        if mean_queue >= SCALE_UP_QUEUE:
             reason = f"queue_depth {mean_queue:.1f}"
         elif p99 > self.policy.target_p99_s:
             reason = f"p99 {p99:.4f}s over SLO"
-        elif mem_frac >= self.policy.scale_up_memory_frac:
+        elif mem_frac >= SCALE_UP_MEMORY_FRAC:
             reason = f"memory {mem_frac:.2f} committed"
         if reason is not None:
             if len(alive) < self.policy.max_nodes:
@@ -203,7 +204,7 @@ class Autoscaler:
             return []
         inflight_free = [n for n in alive if not n.inflight]
         if (
-            mean_queue <= self.policy.scale_down_queue
+            mean_queue <= SCALE_DOWN_QUEUE
             and len(alive) > self.policy.min_nodes
             and inflight_free
         ):
@@ -247,9 +248,7 @@ class Autoscaler:
         ``(plans_adopted_from_peers, modelled_transfer_seconds)``.
         """
         index = self.router.plan_index
-        keys = index.hot_keys(
-            self.router.nodes, k=self.policy.warm_top_k, min_hits=1
-        )
+        keys = index.hot_keys(self.router.nodes, k=WARM_TOP_K, min_hits=1)
         adopted = 0
         total_s = 0.0
         for key in keys:
@@ -294,21 +293,20 @@ class Autoscaler:
     def replicate_hot(self, now: float) -> int:
         """Push the top-k hottest plans to their spill targets.
 
-        For each hot key short of :attr:`AutoscalePolicy.replication_factor`
-        alive holders, the replica goes to the first ring-preference
+        For each hot key short of :data:`REPLICATION_FACTOR` alive
+        holders, the replica goes to the first ring-preference
         successors that lack it — the exact nodes the router's
         power-of-two spill will favour under overload, so the plan is
         already local when the hot key's traffic spills.  Returns how
         many replicas were pushed this tick.
         """
-        policy = self.policy
         index = self.router.plan_index
         ring = self.router.ring
         pushed = 0
         hot = index.hot_keys(
             self.router.nodes,
-            k=policy.replicate_top_k,
-            min_hits=policy.replicate_min_hits,
+            k=self.policy.replicate_top_k,
+            min_hits=REPLICATE_MIN_HITS,
         )
         for key in hot:
             holders = [
@@ -316,14 +314,12 @@ class Autoscaler:
                 for h in index.holders(key)
                 if h in self.router.nodes and self.router.nodes[h].alive
             ]
-            if not holders or len(holders) >= policy.replication_factor:
+            if not holders or len(holders) >= REPLICATION_FACTOR:
                 continue
             source = self.router.nodes[holders[0]]
             ring_key = "|".join(key)
-            for target_name in ring.preference(
-                ring_key, policy.replication_factor + 1
-            ):
-                if len(holders) >= policy.replication_factor:
+            for target_name in ring.preference(ring_key, REPLICATION_FACTOR + 1):
+                if len(holders) >= REPLICATION_FACTOR:
                     break
                 if target_name in holders:
                     continue

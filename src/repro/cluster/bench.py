@@ -59,6 +59,13 @@ from .router import ClusterRouter, RoutingPolicy
 
 __all__ = ["ClusterSpec", "ClusterBenchReport", "build_fleet", "run_cluster_bench"]
 
+#: Cluster-level re-placements of a request (crash failover, faults).
+MAX_RETRIES = 3
+#: Service-time multiplier while a node is degraded.
+DEGRADE_FACTOR = 4.0
+#: How long one degradation event lasts, virtual seconds.
+DEGRADE_DURATION_S = 0.05
+
 
 @dataclass(frozen=True)
 class ClusterSpec:
@@ -75,12 +82,6 @@ class ClusterSpec:
     #: Home queue depth at which the router spills (power-of-two-choices).
     spill_queue_depth: int = 8
     replicate_plans: bool = True
-    #: Cluster-level re-placements of a request (crash failover, faults).
-    max_retries: int = 3
-    #: Service-time multiplier while a node is degraded.
-    degrade_factor: float = 4.0
-    #: How long one degradation event lasts, virtual seconds.
-    degrade_duration_s: float = 0.05
     #: Salt for the router's deterministic power-of-two draws.
     seed: int = 0
     #: Durable plan stores: each node persists its plans under
@@ -89,7 +90,7 @@ class ClusterSpec:
     plan_store_dir: Optional[str] = None
     #: Give every node a :class:`~repro.estimate.RowEstimator`: admission
     #: and router spill decisions use sampled footprint bounds instead of
-    #: the blind ``output_factor`` heuristic.
+    #: the blind ``OUTPUT_FACTOR`` heuristic.
     estimate: bool = False
     #: Nodes additionally plan cold requests from the sampled estimates
     #: (implies ``estimate``); bound violations fall back to exact
@@ -132,10 +133,6 @@ class ClusterSpec:
                 raise ValueError(
                     f"unknown device preset {d!r}; have {sorted(PRESETS)}"
                 )
-        if self.degrade_factor < 1.0:
-            raise ValueError("degrade_factor must be >= 1")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
 
 
 def _make_node(
@@ -290,14 +287,17 @@ class _FleetRun:
                 "cluster.node_degrades", "transient node degradations"
             ).inc()
             node.degraded_until = max(
-                node.degraded_until, now + self.spec.degrade_duration_s
+                node.degraded_until, now + DEGRADE_DURATION_S
             )
         return None
 
-    def _fetch_replica(self, node: ClusterNode, key):
+    def _fetch_replica(self, node: ClusterNode, key, mode: str):
         """The peer rung of ``node``'s plan-source ladder: pull a replica
-        of ``key`` from a live compatible holder."""
-        plan, transfer_s = self.router.plan_index.fetch(key, node, self.nodes)
+        of ``key`` that serves a ``mode`` request from a live compatible
+        holder."""
+        plan, transfer_s = self.router.plan_index.fetch(
+            key, node, self.nodes, mode
+        )
         if plan is not None:
             self.fleet.registry.counter(
                 "cluster.plan_fetches", "plan replicas pulled on demand"
@@ -329,13 +329,13 @@ class _FleetRun:
         # the cooldown probe clears it.
         slow = node.degraded(now)
         self.router.breakers[node.name].record(res.valid and not slow, now)
-        factor = self.spec.degrade_factor if slow else 1.0
+        factor = DEGRADE_FACTOR if slow else 1.0
         return res, res.time_s * factor + res.decisions.get("plan_fetch_s", 0.0)
 
     def retry(
         self, req: Request, reason: str, info: Optional[FailureInfo]
     ) -> Optional[FailureInfo]:
-        if req.attempts >= self.spec.max_retries:
+        if req.attempts >= MAX_RETRIES:
             return FailureInfo(
                 kind="crash" if reason == "crash" else "injected",
                 stage="failover",
@@ -575,7 +575,7 @@ def run_cluster_bench(
             "queue_depth": cluster.queue_depth,
             "spill_queue_depth": cluster.spill_queue_depth,
             "replicate_plans": cluster.replicate_plans,
-            "max_retries": cluster.max_retries,
+            "max_retries": MAX_RETRIES,
             "rate": spec.rate,
             "duration_s": spec.duration_s,
             "zipf_alpha": spec.zipf_alpha,

@@ -55,7 +55,6 @@ class ClusterNode(ServeScheduler):
         n_workers: int = 2,
         plan_cache_bytes: int = 256 * 1024 * 1024,
         policy: Optional[AdmissionPolicy] = None,
-        context_cache_entries: int = 32,
         estimate: bool = False,
         speculative: bool = False,
     ) -> None:
@@ -64,7 +63,6 @@ class ClusterNode(ServeScheduler):
             device,
             params,
             plan_cache_bytes=plan_cache_bytes,
-            context_cache_entries=context_cache_entries,
             speculative=speculative,
             estimator=estimator,
         )

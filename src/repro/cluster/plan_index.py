@@ -31,7 +31,7 @@ from ..serve.plan_cache import CachedPlan, PlanIntegrityError, plan_transfer_s
 
 __all__ = ["PlanIndex", "plan_transfer_s"]
 
-PlanKey = Tuple[str, str]
+PlanKey = Tuple[str, ...]
 
 
 class PlanIndex:
@@ -90,12 +90,18 @@ class PlanIndex:
         key: PlanKey,
         requester: "object",
         peers: Dict[str, "object"],
+        mode: Optional[str] = None,
     ) -> Tuple[Optional[CachedPlan], float]:
         """Try to pull a replica of ``key`` for ``requester``.
 
         ``peers`` maps node name → :class:`~repro.cluster.node.ClusterNode`
-        (alive nodes only).  Returns ``(plan, transfer_s)``; ``(None, 0.0)``
-        when no compatible live holder has the plan.  The replica is a
+        (alive nodes only).  With ``mode`` (the peer rung of a request's
+        plan-source ladder), a holder whose plan cannot serve a ``mode``
+        request (:meth:`~repro.serve.plan_cache.CachedPlan.serves`) is
+        skipped before anything is copied, as the store rung skips such a
+        frame; hydration passes none and takes any plan.  Returns
+        ``(plan, transfer_s)``; ``(None, 0.0)`` when no compatible live
+        holder has a usable plan.  The replica is a
         shallow copy with its own hit counter, adopted into the
         requester's cache (so it is budget-accounted and evictable there
         like any local plan).
@@ -106,7 +112,7 @@ class PlanIndex:
             holder = peers.get(holder_name)
             if holder is None or not holder.alive:
                 continue
-            copied = self._copy(key, holder, requester)
+            copied = self._copy(key, holder, requester, mode)
             if copied is None:
                 continue
             adopted, nbytes = copied
@@ -121,18 +127,16 @@ class PlanIndex:
         """Fleet-wide plan heat: per-key hit counters summed over every
         node's :class:`~repro.serve.plan_cache.PlanCache`.
 
-        The caches track lifetime hits per fingerprint-pair key
-        (``per_key_hits``); rolling them up here is what turns a local
+        The caches track lifetime hits per plan key
+        (:meth:`~repro.serve.plan_cache.PlanCache.key_hits`, masked
+        3-part keys included); rolling them up here is what turns a local
         LRU statistic into the cluster's replication signal.  Node order
         is sorted, so the rollup is deterministic.
         """
         totals: Dict[PlanKey, int] = {}
         for name in sorted(nodes):
-            stats = nodes[name].service.plans.stats()
-            for ks, hits in stats.per_key_hits.items():
-                fp_a, _, fp_b = ks.partition("|")
-                key = (fp_a, fp_b)
-                totals[key] = totals.get(key, 0) + int(hits)
+            for key, hits in nodes[name].service.plans.key_hits().items():
+                totals[key] = totals.get(key, 0) + hits
         return totals
 
     def hot_keys(
@@ -176,7 +180,11 @@ class PlanIndex:
         return True, plan_transfer_s(nbytes)
 
     def _copy(
-        self, key: PlanKey, source: "object", target: "object"
+        self,
+        key: PlanKey,
+        source: "object",
+        target: "object",
+        mode: Optional[str] = None,
     ) -> Optional[Tuple[CachedPlan, int]]:
         """Adopt ``source``'s plan for ``key`` into ``target``'s cache.
 
@@ -186,7 +194,8 @@ class PlanIndex:
         that no longer verifies (checksum drift, wrong compat stamp) is
         refused and counted in :attr:`integrity_rejects`, since it is
         worse than a cold recompute.  On success ``target`` becomes a
-        holder.  Returns ``(adopted plan, its nbytes)`` or ``None``.
+        holder.  A plan that cannot serve a ``mode`` request is left
+        where it is.  Returns ``(adopted plan, its nbytes)`` or ``None``.
         """
         if source.plan_compat != target.plan_compat:
             return None
@@ -194,6 +203,8 @@ class PlanIndex:
         if plan is None:
             # The source evicted since we recorded it; unregister.
             self._unregister(key, source.name)
+            return None
+        if mode is not None and not plan.serves(mode):
             return None
         replica = replace(plan, hits=0)
         if self._replica_hook is not None:

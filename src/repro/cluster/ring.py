@@ -21,6 +21,9 @@ from typing import Dict, Iterable, List, Tuple
 
 __all__ = ["HashRing", "stable_hash"]
 
+#: Virtual nodes per ring member.
+VNODES = 64
+
 
 def stable_hash(key: str) -> int:
     """A process-stable 64-bit hash of ``key``."""
@@ -31,17 +34,14 @@ def stable_hash(key: str) -> int:
 class HashRing:
     """A consistent-hash ring with virtual nodes.
 
-    Each member is placed at ``vnodes`` pseudo-random points on a 64-bit
+    Each member is placed at :data:`VNODES` pseudo-random points on a 64-bit
     ring; a key routes to the member owning the first point at or after
     the key's hash (wrapping).  More virtual nodes smooth the key-space
     share per member at the cost of a larger sorted table; 64 keeps the
     per-node share within a few percent of uniform for small fleets.
     """
 
-    def __init__(self, members: Iterable[str] = (), *, vnodes: int = 64) -> None:
-        if vnodes < 1:
-            raise ValueError("need at least one virtual node per member")
-        self.vnodes = int(vnodes)
+    def __init__(self, members: Iterable[str] = ()) -> None:
         self._points: List[Tuple[int, str]] = []
         self._members: Dict[str, List[int]] = {}
         for name in members:
@@ -52,7 +52,7 @@ class HashRing:
         """Join ``name``; only keys in its arcs move to it."""
         if name in self._members:
             raise ValueError(f"member {name!r} already on the ring")
-        hashes = [stable_hash(f"{name}#{i}") for i in range(self.vnodes)]
+        hashes = [stable_hash(f"{name}#{i}") for i in range(VNODES)]
         self._members[name] = hashes
         for h in hashes:
             bisect.insort(self._points, (h, name))
@@ -100,4 +100,4 @@ class HashRing:
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"HashRing({len(self._members)} members, vnodes={self.vnodes})"
+        return f"HashRing({len(self._members)} members)"

@@ -56,7 +56,6 @@ from .plan_index import PlanIndex
 from .ring import HashRing, stable_hash
 
 __all__ = [
-    "BreakerPolicy",
     "CircuitBreaker",
     "RetryBudget",
     "RoutingPolicy",
@@ -65,32 +64,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BreakerPolicy:
-    """Knobs of one node's circuit breaker.
-
-    Attributes
-    ----------
-    window:
-        Rolling outcome window; only the most recent ``window`` dispatch
-        outcomes count toward opening.
-    failure_threshold:
-        Failures within the window that open the breaker.
-    cooldown_s:
-        Virtual seconds an open breaker blocks placements before
-        half-opening for a probe.  Deterministic: same workload, same
-        transition times.
-    """
-
-    window: int = 16
-    failure_threshold: int = 4
-    cooldown_s: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.window < 1 or not (1 <= self.failure_threshold <= self.window):
-            raise ValueError("need 1 <= failure_threshold <= window")
-        if self.cooldown_s <= 0:
-            raise ValueError("cooldown_s must be positive")
+#: Rolling outcome window of a node's circuit breaker: only the most
+#: recent ``BREAKER_WINDOW`` dispatch outcomes count toward opening.
+BREAKER_WINDOW = 16
+#: Failures within the window that open the breaker.
+BREAKER_FAILURE_THRESHOLD = 4
+#: Virtual seconds an open breaker blocks placements before half-opening
+#: for a probe.  Deterministic: same workload, same transition times.
+BREAKER_COOLDOWN_S = 0.05
+#: The fleet-wide retry budget: ``RETRY_MIN_TOKENS + RETRY_RATIO *
+#: requests_seen`` retries over the run so far.
+RETRY_MIN_TOKENS = 10
+RETRY_RATIO = 0.2
 
 
 class CircuitBreaker:
@@ -100,15 +85,14 @@ class CircuitBreaker:
     :meth:`on_dispatch` once a node is chosen (this is where the
     open→half_open transition happens, and where the single half-open
     probe slot is claimed).  The bench loop reports each dispatch's fate
-    through :meth:`record`.
+    through :meth:`record`.  Thresholds are the ``BREAKER_*`` constants.
     """
 
-    def __init__(self, policy: Optional[BreakerPolicy] = None) -> None:
-        self.policy = policy or BreakerPolicy()
+    def __init__(self) -> None:
         self.state = "closed"
         self.opened_at = 0.0
         self.probe_inflight = False
-        self._window: Deque[bool] = deque(maxlen=self.policy.window)
+        self._window: Deque[bool] = deque(maxlen=BREAKER_WINDOW)
         #: Entries into each state over the breaker's lifetime.
         self.transitions: Dict[str, int] = {}
 
@@ -128,12 +112,12 @@ class CircuitBreaker:
         if self.state == "closed":
             return True
         if self.state == "open":
-            return now >= self.opened_at + self.policy.cooldown_s
+            return now >= self.opened_at + BREAKER_COOLDOWN_S
         return not self.probe_inflight  # half_open: one probe at a time
 
     def on_dispatch(self, now: float) -> None:
         """The router placed a request here; claim the probe slot."""
-        if self.state == "open" and now >= self.opened_at + self.policy.cooldown_s:
+        if self.state == "open" and now >= self.opened_at + BREAKER_COOLDOWN_S:
             self._transition("half_open", now)
         if self.state == "half_open":
             self.probe_inflight = True
@@ -147,7 +131,7 @@ class CircuitBreaker:
         self._window.append(ok)
         if self.state == "closed":
             failures = sum(1 for o in self._window if not o)
-            if failures >= self.policy.failure_threshold:
+            if failures >= BREAKER_FAILURE_THRESHOLD:
                 self._transition("open", now)
 
     def snapshot(self) -> Dict[str, object]:
@@ -162,16 +146,13 @@ class CircuitBreaker:
 class RetryBudget:
     """Fleet-wide cap on retries relative to traffic actually served.
 
-    The budget allows ``min_tokens + ratio * requests_seen`` retries over
-    the run so far; a denied :meth:`try_spend` means the request fails
-    terminally instead of feeding a retry storm.  All integer/deterministic.
+    The budget allows ``RETRY_MIN_TOKENS + RETRY_RATIO * requests_seen``
+    retries over the run so far; a denied :meth:`try_spend` means the
+    request fails terminally instead of feeding a retry storm.  All
+    integer/deterministic.
     """
 
-    def __init__(self, min_tokens: int = 10, ratio: float = 0.2) -> None:
-        if min_tokens < 0 or ratio < 0:
-            raise ValueError("min_tokens and ratio must be non-negative")
-        self.min_tokens = int(min_tokens)
-        self.ratio = float(ratio)
+    def __init__(self) -> None:
         self.requests_seen = 0
         self.spent = 0
         self.denied = 0
@@ -181,7 +162,7 @@ class RetryBudget:
 
     @property
     def allowance(self) -> int:
-        return self.min_tokens + int(self.ratio * self.requests_seen)
+        return RETRY_MIN_TOKENS + int(RETRY_RATIO * self.requests_seen)
 
     def try_spend(self) -> bool:
         if self.spent < self.allowance:
@@ -217,13 +198,6 @@ class RoutingPolicy:
     seed: int = 0
     #: Fetch plan replicas from peers for spilled/failover requests.
     replicate_plans: bool = True
-    #: Virtual nodes per member on the hash ring.
-    vnodes: int = 64
-    #: Per-node circuit-breaker thresholds.
-    breaker: BreakerPolicy = BreakerPolicy()
-    #: Fleet-wide retry budget floor and traffic fraction.
-    retry_min_tokens: int = 10
-    retry_ratio: float = 0.2
 
     def __post_init__(self) -> None:
         if self.spill_queue_depth < 1:
@@ -242,16 +216,14 @@ class ClusterRouter:
             raise ValueError("a cluster needs at least one node")
         self.nodes = dict(sorted(nodes.items()))
         self.policy = policy or RoutingPolicy()
-        self.ring = HashRing(self.nodes, vnodes=self.policy.vnodes)
+        self.ring = HashRing(self.nodes)
         self.plan_index = PlanIndex()
         self.spills = 0
         self.home_placements = 0
         self.breakers: Dict[str, CircuitBreaker] = {
-            name: CircuitBreaker(self.policy.breaker) for name in self.nodes
+            name: CircuitBreaker() for name in self.nodes
         }
-        self.retry_budget = RetryBudget(
-            self.policy.retry_min_tokens, self.policy.retry_ratio
-        )
+        self.retry_budget = RetryBudget()
         #: Placements refused because a target's breaker was open.
         self.breaker_rejections = 0
 
@@ -293,7 +265,7 @@ class ClusterRouter:
             return None, "no_nodes"
         home = self.nodes[self.ring.route(request_key(req))]
         # Sampled footprint bound when the node carries an estimator,
-        # the blind output_factor heuristic otherwise: tighter estimates
+        # the blind OUTPUT_FACTOR heuristic otherwise: tighter estimates
         # mean fewer spurious memory-pressure spills off the home node.
         est = home.est_bytes_for(req)
         if self.healthy(home, now, est):
@@ -346,7 +318,7 @@ class ClusterRouter:
             raise ValueError(f"node {node.name!r} already in the fleet")
         self.nodes[node.name] = node
         self.ring.add(node.name)
-        self.breakers[node.name] = CircuitBreaker(self.policy.breaker)
+        self.breakers[node.name] = CircuitBreaker()
 
     def mark_down(self, node: ClusterNode, *, state: str = "down") -> List[Request]:
         """Remove a node from the fleet — crash and scale-down share this.

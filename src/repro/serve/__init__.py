@@ -13,7 +13,6 @@ from .admission import (
     AdmissionController,
     AdmissionPolicy,
     BrownoutInfo,
-    BrownoutPolicy,
     ServiceReject,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -45,7 +44,6 @@ __all__ = [
     "AdmissionPolicy",
     "BROWNOUT_MODES",
     "BrownoutInfo",
-    "BrownoutPolicy",
     "ServiceReject",
     "Counter",
     "Gauge",

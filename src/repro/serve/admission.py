@@ -17,14 +17,14 @@ dense-free minimal plan) that trade plan quality for immediate headroom
 pressure to a rung; the service owns what each rung means
 (:attr:`~repro.serve.service.SpGEMMService.BROWNOUT_PARAMS`).
 
-Thresholds live in :class:`AdmissionPolicy` / :class:`BrownoutPolicy`;
-the controller itself is stateless apart from shed/brownout counters,
-so one instance can guard one queue.
+The queue bound lives in :class:`AdmissionPolicy`; the other thresholds
+are the module constants below.  The controller itself is stateless
+apart from shed/brownout counters, so one instance can guard one queue.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..faults import FailureInfo
@@ -32,7 +32,6 @@ from ..gpu import DeviceSpec
 
 __all__ = [
     "AdmissionPolicy",
-    "BrownoutPolicy",
     "BrownoutInfo",
     "BROWNOUT_MODES",
     "ServiceReject",
@@ -43,62 +42,35 @@ __all__ = [
 #: fourth rung) is handled by :meth:`AdmissionController.admit`.
 BROWNOUT_MODES = ("full", "lb_fallback", "minimal")
 
+#: Fraction of device memory the service keeps free: a request whose
+#: estimated footprint would push the committed total past
+#: ``(1 - MEMORY_HEADROOM_FRAC) * capacity`` is shed.
+MEMORY_HEADROOM_FRAC = 0.1
+#: The blind footprint estimate: this multiple of the input bytes covers
+#: inputs, temporaries and C (compaction makes the true output smaller
+#: than the products, so a small constant covers the common case).
+OUTPUT_FACTOR = 3.0
+#: Hint returned with retryable sheds: when the client may retry.
+RETRY_AFTER_S = 0.05
+#: Pressure at which cold requests plan in ``lb_fallback`` mode, and in
+#: ``minimal`` mode.  *Pressure* is the worse of queue depth over the
+#: queue bound and committed bytes over the memory limit — how close the
+#: service is to its shed thresholds; at 1.0 admission sheds, completing
+#: the ladder.
+BROWNOUT_LB_FALLBACK_FRAC = 0.5
+BROWNOUT_MINIMAL_FRAC = 0.8
+
 
 @dataclass(frozen=True)
 class AdmissionPolicy:
-    """Backpressure thresholds.
-
-    Attributes
-    ----------
-    max_queue_depth:
-        Hard bound on queued (admitted, not yet started) requests.
-    memory_headroom_frac:
-        Fraction of device memory the service keeps free: a request whose
-        estimated footprint would push the committed total past
-        ``(1 - headroom) * capacity`` is shed.  The estimate is
-        conservative — inputs plus an ``output_factor`` multiple for
-        temporaries and C (compaction makes the true output smaller than
-        the products, so a small constant covers the common case).
-    output_factor:
-        Multiplier on the input bytes used as the footprint estimate.
-    retry_after_s:
-        Hint returned with sheds: when the client may retry.
-    """
+    """Backpressure bound: ``max_queue_depth`` caps queued (admitted, not
+    yet started) requests."""
 
     max_queue_depth: int = 256
-    memory_headroom_frac: float = 0.1
-    output_factor: float = 3.0
-    retry_after_s: float = 0.05
 
     def __post_init__(self) -> None:
         if self.max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1")
-        if not (0.0 <= self.memory_headroom_frac < 1.0):
-            raise ValueError("memory_headroom_frac must be in [0, 1)")
-        if self.output_factor < 1.0:
-            raise ValueError("output_factor must be >= 1")
-
-
-@dataclass(frozen=True)
-class BrownoutPolicy:
-    """Pressure thresholds of the degradation ladder.
-
-    *Pressure* is the worse of two fractions: queue depth over the
-    admission queue bound, and committed bytes over the admission memory
-    limit — i.e. how close the service is to its shed thresholds.  Cold
-    requests plan in ``lb_fallback`` mode from ``lb_fallback_frac`` and
-    in ``minimal`` mode from ``minimal_frac``; at pressure 1.0 admission
-    sheds, completing the ladder.
-    """
-
-    lb_fallback_frac: float = 0.5
-    minimal_frac: float = 0.8
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.lb_fallback_frac <= self.minimal_frac <= 1.0):
-            raise ValueError(
-                "need 0 < lb_fallback_frac <= minimal_frac <= 1"
-            )
 
 
 @dataclass(frozen=True)
@@ -162,15 +134,13 @@ class AdmissionController:
         self,
         device: DeviceSpec,
         policy: Optional[AdmissionPolicy] = None,
-        brownout: Optional[BrownoutPolicy] = None,
     ) -> None:
         self.device = device
         self.policy = policy or AdmissionPolicy()
-        self.brownout = brownout or BrownoutPolicy()
-        #: Committed bytes allowed before sheds start (the policy and the
-        #: device are frozen, so this is fixed per controller).
+        #: Committed bytes allowed before sheds start (the device is
+        #: frozen, so this is fixed per controller).
         self.memory_limit = int(
-            (1.0 - self.policy.memory_headroom_frac) * device.global_mem_bytes
+            (1.0 - MEMORY_HEADROOM_FRAC) * device.global_mem_bytes
         )
         self.sheds = 0
         self.shed_reasons: Dict[str, int] = {}
@@ -184,7 +154,7 @@ class AdmissionController:
     ) -> int:
         """Conservative device footprint of one request.
 
-        Without ``footprint`` this is the blind ``output_factor`` multiple
+        Without ``footprint`` this is the blind :data:`OUTPUT_FACTOR` multiple
         of the input bytes.  Callers holding a sampled estimate
         (:meth:`repro.estimate.RowEstimator.footprint_bound_bytes`) pass
         its confidence bound instead — it already covers inputs, the
@@ -196,7 +166,7 @@ class AdmissionController:
         """
         if footprint is not None:
             return max(int(footprint), int(input_bytes))
-        return int(self.policy.output_factor * input_bytes)
+        return int(OUTPUT_FACTOR * input_bytes)
 
     def admit(
         self,
@@ -209,7 +179,7 @@ class AdmissionController:
     ) -> Optional[ServiceReject]:
         """``None`` to admit, a :class:`ServiceReject` to shed.
 
-        ``footprint`` optionally replaces the blind ``output_factor``
+        ``footprint`` optionally replaces the blind :data:`OUTPUT_FACTOR`
         heuristic with a sampled footprint bound (see
         :meth:`estimate_bytes`).
         """
@@ -255,9 +225,9 @@ class AdmissionController:
             committed_bytes / self.memory_limit if self.memory_limit else 0.0
         )
         pressure = max(queue_frac, memory_frac)
-        if pressure >= self.brownout.minimal_frac:
+        if pressure >= BROWNOUT_MINIMAL_FRAC:
             mode = "minimal"
-        elif pressure >= self.brownout.lb_fallback_frac:
+        elif pressure >= BROWNOUT_LB_FALLBACK_FRAC:
             mode = "lb_fallback"
         else:
             mode = "full"
@@ -284,5 +254,5 @@ class AdmissionController:
                 message=message,
                 retryable=retryable,
             ),
-            retry_after_s=self.policy.retry_after_s if retryable else 0.0,
+            retry_after_s=RETRY_AFTER_S if retryable else 0.0,
         )

@@ -57,9 +57,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.set(self.value + amount)
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.set(self.value - amount)
-
     def snapshot(self) -> Dict[str, float]:
         return {"value": self.value, "max": self.max_seen}
 

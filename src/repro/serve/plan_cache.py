@@ -265,7 +265,8 @@ class PlanCache:
         #: Registrations refused up front because the *estimated* plan
         #: size exceeded the whole budget (see ``get_or_create``).
         self.budget_rejects = 0
-        #: Lifetime hits per key; ``stats`` joins each key for reports.
+        #: Lifetime hits per key; ``stats`` joins each key for reports,
+        #: ``key_hits`` copies them as keyed.
         self._key_hits: Dict[Tuple[str, ...], int] = {}
 
     # ------------------------------------------------------------------
@@ -449,11 +450,17 @@ class PlanCache:
             self._sizes.clear()
             self._bytes = 0
 
+    def key_hits(self) -> Dict[Tuple[str, ...], int]:
+        """Lifetime hits per key, under the cache's own tuple keys (a
+        copy; the cluster's hit roll-up reads this, not :meth:`stats`)."""
+        with self._lock:
+            return dict(self._key_hits)
+
     def stats(self) -> PlanCacheStats:
         """A snapshot of the counters, per-key hits sorted hottest first.
 
-        The sort is O(keys), so it is taken for reports and the cluster's
-        hit roll-up, never per request.
+        The sort is O(keys), so it is taken for reports, never per
+        request.
         """
         with self._lock:
             per_key = dict(

@@ -63,6 +63,10 @@ __all__ = [
     "run_event_loop",
 ]
 
+#: Re-queues of a retryable failed request on a lone scheduler, *on top
+#: of* the engine's own internal fallback attempt.
+MAX_RETRIES = 1
+
 
 @dataclass
 class Request:
@@ -176,9 +180,6 @@ class ServeScheduler:
     max_batch:
         Most requests one dispatch may take from the queue when they
         share A's structural fingerprint (one analysis, N numerics).
-    max_retries:
-        Re-queues of a retryable failed request, *on top of* the engine's
-        own internal fallback attempt.
     default_timeout_s:
         Queue deadline applied to requests that carry none.
     faults:
@@ -186,7 +187,7 @@ class ServeScheduler:
     estimator:
         Optional :class:`~repro.estimate.RowEstimator`.  When set, the
         admission memory-headroom check uses the sampled footprint bound
-        instead of the blind ``output_factor`` heuristic, and queue
+        instead of the blind ``OUTPUT_FACTOR`` heuristic, and queue
         ordering gains a coarse estimated-cost hint: within a priority
         class, cheaper requests dispatch first (bucketed shortest-job-
         first — the bucket is log2 of estimated products, so arrival
@@ -207,7 +208,6 @@ class ServeScheduler:
         n_workers: int = 4,
         policy: Optional[AdmissionPolicy] = None,
         max_batch: int = 8,
-        max_retries: int = 1,
         default_timeout_s: Optional[float] = None,
         faults: Optional[FaultPlan] = None,
         estimator: Optional[RowEstimator] = None,
@@ -219,7 +219,6 @@ class ServeScheduler:
         self.service = service
         self.admission = AdmissionController(service.device, policy)
         self.max_batch = int(max_batch)
-        self.max_retries = int(max_retries)
         self.default_timeout_s = default_timeout_s
         self.faults = faults
         self.estimator = estimator
@@ -428,7 +427,7 @@ class LocalRouter:
     failed request, else its terminal failure; ``settled`` sees every
     outcome.  A router with no ticks or no crashes sets ``tick`` or
     ``before_dispatch`` to ``None`` and the loop skips it, as it does
-    here.  Here a retry re-queues up to the node's ``max_retries`` (no
+    here.  Here a retry re-queues up to :data:`MAX_RETRIES` times (no
     budget, breaker or replica fetch) and the node's own registry
     records ``scheduler.*`` metrics, each handle bound on first use.
     """
@@ -464,7 +463,7 @@ class LocalRouter:
     def retry(
         self, req: Request, reason: str, info: Optional[FailureInfo]
     ) -> Optional[FailureInfo]:
-        if req.attempts >= self.node.max_retries:
+        if req.attempts >= MAX_RETRIES:
             return info
         req.attempts += 1
         self._metric(

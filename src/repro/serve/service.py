@@ -41,10 +41,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["PeerRung", "SpGEMMService"]
 
-#: The fleet's rung of the plan-source ladder: given a plan key, adopt a
-#: peer's replica into this service's cache and return it with its
-#: modelled transfer seconds, or ``(None, 0.0)`` when no peer has it.
-PeerRung = Callable[[Tuple[str, ...]], Tuple[Optional[CachedPlan], float]]
+#: The fleet's rung of the plan-source ladder: given a plan key and the
+#: request's planning mode, adopt a peer's replica that serves that mode
+#: into this service's cache and return it with its modelled transfer
+#: seconds, or ``(None, 0.0)`` when no peer has one.
+PeerRung = Callable[
+    [Tuple[str, ...], str], Tuple[Optional[CachedPlan], float]
+]
 
 #: Per-rung planning overrides of the brownout ladder.  ``lb_fallback``
 #: skips the binning decision entirely (both passes take the global-LB
@@ -72,9 +75,6 @@ class SpGEMMService:
         Forwarded to the owned :class:`~repro.core.speck.SpeckEngine`.
     plan_cache_bytes:
         Byte budget of the structural plan cache.
-    metrics:
-        Optional shared registry (the scheduler passes its own so service
-        and queue metrics land in one snapshot).
     context_cache_entries:
         How many exact :class:`~repro.core.context.MultiplyContext`
         objects to keep, keyed by *value* fingerprints.  This is a
@@ -102,9 +102,7 @@ class SpGEMMService:
         params: SpeckParams = DEFAULT_PARAMS,
         *,
         plan_cache_bytes: int = 256 * 1024 * 1024,
-        metrics: Optional[MetricsRegistry] = None,
         context_cache_entries: int = 32,
-        name: str = "spECK",
         plan_store: Optional["PlanStore"] = None,
         speculative: bool = False,
         estimator: Optional[RowEstimator] = None,
@@ -114,7 +112,7 @@ class SpGEMMService:
         self.estimator = estimator
         if self.speculative and self.estimator is None:
             self.estimator = RowEstimator(device)
-        self.engine = SpeckEngine(device, params, name=name)
+        self.engine = SpeckEngine(device, params)
         #: Device/params compatibility key of every plan this service
         #: populates (stamped on plans for replication and persistence).
         self.compat = compat_key(device, params)
@@ -123,10 +121,12 @@ class SpGEMMService:
         self._engines: Dict[str, SpeckEngine] = {"full": self.engine}
         for rung, overrides in BROWNOUT_OVERRIDES.items():
             self._engines[rung] = SpeckEngine(
-                device, params.with_overrides(**overrides), name=name
+                device, params.with_overrides(**overrides)
             )
         self.plans = PlanCache(max_bytes=plan_cache_bytes)
-        self.metrics = metrics or MetricsRegistry()
+        #: The service's registry; a scheduler over this service records
+        #: its queue metrics here too, so both land in one snapshot.
+        self.metrics = MetricsRegistry()
         self._metric = MetricHandles(self.metrics)
         self._contexts: "OrderedDict[Tuple[str, str], MultiplyContext]" = (
             OrderedDict()
@@ -372,7 +372,7 @@ class SpGEMMService:
             if plan is not None:
                 return "store", plan_transfer_s(plan.nbytes())
         if peer is not None:
-            plan, transfer_s = peer(key)
+            plan, transfer_s = peer(key, mode)
             if plan is not None:
                 return "peer", transfer_s
         return "cold", 0.0

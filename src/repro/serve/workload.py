@@ -56,6 +56,9 @@ __all__ = [
 #: request; the graph workloads dispatch through :mod:`repro.graph`.
 WORKLOADS = ("plain", "masked", "chain", "incremental")
 
+#: Fraction of requests arriving at high priority (0).
+HIGH_PRIORITY_FRAC = 0.1
+
 #: SeedSequence branch for workload artifacts (masks, deltas), distinct
 #: from the arrival-timeline stream so adding a workload never perturbs
 #: the plain benchmark's arrivals.
@@ -100,8 +103,6 @@ class WorkloadSpec:
     duration_s: float = 5.0
     #: Zipf skew of operand popularity (1.0 ≈ classic web-traffic skew).
     zipf_alpha: float = 1.1
-    #: Fraction of requests arriving at high priority (0).
-    high_priority_frac: float = 0.1
     #: Queue deadline; ``None`` disables timeouts.
     timeout_s: Optional[float] = 1.0
     seed: int = 0
@@ -277,7 +278,7 @@ def build_requests(
                 a=a,
                 b=b,
                 arrival_s=t,
-                priority=0 if rng.random() < spec.high_priority_frac else 1,
+                priority=0 if rng.random() < HIGH_PRIORITY_FRAC else 1,
                 timeout_s=spec.timeout_s,
                 case_name=case.name,
                 workload=art["run"] if art is not None else None,

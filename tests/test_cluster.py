@@ -21,6 +21,7 @@ from repro.cluster import (
     run_cluster_bench,
     stable_hash,
 )
+from repro.cluster import autoscaler as autoscaler_module
 from repro.core.params import DEFAULT_PARAMS
 from repro.faults import parse_fault_spec
 from repro.gpu.presets import PRESETS
@@ -235,6 +236,37 @@ class TestPlanIndex:
         assert index.holders(key) == []
         assert index.snapshot()["plans_indexed"] == 0
 
+    def test_fetch_applies_the_mode_rule_only_when_given(self, corpus):
+        nodes = self._two_nodes()
+        n0, n1 = nodes["node-0"], nodes["node-1"]
+        a, b = corpus[0].matrices()
+        depth = n0.admission.policy.max_queue_depth
+        minimal = n0.admission.brownout_mode(queue_depth=depth, committed_bytes=0)
+        n0.service.multiply(a, b, brownout=minimal)
+        key = (a.fingerprint(), b.fingerprint())
+        index = PlanIndex()
+        index.note(key, "node-0")
+        assert index.fetch(key, n1, nodes, "full") == (None, 0.0)
+        assert n1.service.plans.peek(key) is None
+        plan, _ = index.fetch(key, n1, nodes, "minimal")
+        assert plan is not None and plan.mode == "minimal"
+        n1.service.plans.clear()
+        plan, _ = index.fetch(key, n1, nodes)  # hydration takes any plan
+        assert plan is not None and plan.mode == "minimal"
+
+    def test_roll_up_keeps_a_masked_key_whole(self, corpus):
+        nodes = self._two_nodes()
+        a, b = corpus[0].matrices()
+        for _ in range(3):
+            nodes["node-0"].service.multiply(a, b, plan_tag="masked:m")
+        for _ in range(2):
+            nodes["node-1"].service.multiply(a, b)
+        fp_a, fp_b = a.fingerprint(), b.fingerprint()
+        assert PlanIndex().roll_up_hits(nodes) == {
+            (fp_a, fp_b, "masked:m"): 2,
+            (fp_a, fp_b): 1,
+        }
+
     def test_drop_node_forgets_locations(self):
         index = PlanIndex()
         index.note(("f1", "f2"), "node-0")
@@ -248,10 +280,11 @@ class TestPlanIndex:
 class TestPlanSourceLadder:
     """A fleet node walks one ladder: cache, its own store, a peer, cold."""
 
-    def _run(self, tmp_path):
+    def _run(self, tmp_path=None):
         from repro.cluster.bench import _FleetRun
 
-        spec = ClusterSpec(n_nodes=2, plan_store_dir=str(tmp_path))
+        store_dir = None if tmp_path is None else str(tmp_path)
+        spec = ClusterSpec(n_nodes=2, plan_store_dir=store_dir)
         return _FleetRun(build_fleet(spec), spec, DEFAULT_PARAMS, None)
 
     def _dispatch(self, run, node, a, b):
@@ -298,6 +331,27 @@ class TestPlanSourceLadder:
         assert res.decisions["plan_source"] == "cold"
         assert service_s == res.time_s
         assert run.router.plan_index.misses == 1
+
+    def test_peer_skips_a_plan_that_cannot_serve_the_mode(self, corpus):
+        run = self._run()
+        n0, n1 = run.nodes["node-0"], run.nodes["node-1"]
+        a, b = corpus[0].matrices()
+        key = (a.fingerprint(), b.fingerprint())
+        depth = n0.admission.policy.max_queue_depth
+        minimal = n0.admission.brownout_mode(queue_depth=depth, committed_bytes=0)
+        n0.service.multiply(a, b, brownout=minimal)
+        run.router.plan_index.note(key, "node-0")
+        assert n0.service.plans.peek(key).mode == "minimal"
+
+        # A full-mode request on node-1: the only holder's plan would be
+        # refined cold anyway, so nothing is copied or charged.
+        res, service_s = self._dispatch(run, n1, a, b)
+        assert res.decisions["plan_source"] == "cold"
+        assert "plan_fetch_s" not in res.decisions and service_s == res.time_s
+        assert run.router.plan_index.fetches == 0
+        assert run.router.plan_index.misses == 1
+        assert n1.service.plans.stats().refines == 0
+        assert n1.service.plans.peek(key).mode == "full"
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +521,6 @@ class TestClusterBench:
         with pytest.raises(ValueError):
             AutoscalePolicy(min_nodes=3, max_nodes=2)
         with pytest.raises(ValueError):
-            AutoscalePolicy(scale_down_queue=5.0, scale_up_queue=4.0)
-        with pytest.raises(ValueError):
             AutoscalePolicy(interval_s=0.0)
 
 
@@ -495,13 +547,12 @@ def _warm_node(node, case, times=1):
 
 
 class TestAutoscaler:
-    def test_replicate_hot_pushes_to_spill_targets(self, corpus):
+    def test_replicate_hot_pushes_to_spill_targets(self, corpus, monkeypatch):
+        monkeypatch.setattr(autoscaler_module, "REPLICATE_MIN_HITS", 1)
         router, factory = _router_and_factory()
         key = _warm_node(router.nodes["node-0"], corpus[0], times=3)
         router.plan_index.note(key, "node-0")
-        scaler = Autoscaler(
-            router, AutoscalePolicy(replicate_min_hits=1), factory
-        )
+        scaler = Autoscaler(router, AutoscalePolicy(), factory)
         pushed = scaler.replicate_hot(0.0)
         assert pushed >= 1
         holders = router.plan_index.holders(key)
@@ -588,13 +639,22 @@ class TestAutoscaler:
         router, factory = _router_and_factory(n_nodes=2)
         scaler = Autoscaler(
             router,
-            AutoscalePolicy(min_nodes=2, max_nodes=2, cooldown_s=10.0),
+            AutoscalePolicy(min_nodes=2, max_nodes=2),
             factory,
         )
         # Empty queues would request a scale-down; bounds forbid it.
         assert scaler.evaluate(0.1) == []
         assert scaler.events == []
         assert scaler.next_eval_s > 0.1  # the tick clock advanced anyway
+        # Bounds that allow the scale-down: only the cool-down holds it.
+        scaler = Autoscaler(
+            router, AutoscalePolicy(min_nodes=1, max_nodes=2), factory
+        )
+        scaler.last_scale_s = 0.1
+        assert scaler.evaluate(0.1 + autoscaler_module.COOLDOWN_S / 2) == []
+        assert scaler.events == []
+        scaler.evaluate(0.1 + autoscaler_module.COOLDOWN_S)
+        assert [e.action for e in scaler.events] == ["scale_down"]
 
 
 # ---------------------------------------------------------------------------

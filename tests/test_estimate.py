@@ -227,7 +227,7 @@ def test_row_estimator_memo_and_helpers():
 
 def test_admission_footprint_override():
     ctrl = AdmissionController(TITAN_V)
-    assert ctrl.estimate_bytes(100) == 300  # blind output_factor heuristic
+    assert ctrl.estimate_bytes(100) == 300  # blind OUTPUT_FACTOR heuristic
     assert ctrl.estimate_bytes(100, footprint=1000) == 1000
     assert ctrl.estimate_bytes(100, footprint=40) == 100  # inputs floor
     reject = ctrl.admit(

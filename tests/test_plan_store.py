@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.eval.suite import MatrixCase
 from repro.faults import parse_fault_spec
 from repro.matrices import generators as gen
-from repro.serve.admission import AdmissionController, BrownoutPolicy
+from repro.serve.admission import AdmissionController
 from repro.kernels.reference import esc_multiply
 from repro.serve.plan_cache import PlanCache, PlanIntegrityError, plan_transfer_s
 from repro.serve.plan_ir import (
@@ -34,8 +34,10 @@ from repro.serve.plan_ir import (
 from repro.serve.plan_store import PlanStore
 from repro.serve.service import SpGEMMService
 from repro.serve.workload import WorkloadSpec, run_serve_bench, serve_corpus
+from repro.cluster import bench as cluster_bench
+from repro.cluster import router as cluster_router
 from repro.cluster.bench import ClusterSpec, run_cluster_bench
-from repro.cluster.router import BreakerPolicy, CircuitBreaker, RetryBudget
+from repro.cluster.router import CircuitBreaker, RetryBudget
 from repro.gpu import TITAN_V
 
 from conftest import csr_matrices
@@ -731,7 +733,7 @@ def test_store_holds_one_descriptor_and_reopens_after_compaction(tmp_path):
 # Brownout ladder
 # ---------------------------------------------------------------------------
 def test_brownout_mode_rungs():
-    ctrl = AdmissionController(TITAN_V, brownout=BrownoutPolicy(0.5, 0.8))
+    ctrl = AdmissionController(TITAN_V)
     depth = ctrl.policy.max_queue_depth
     assert ctrl.brownout_mode(queue_depth=0, committed_bytes=0).mode == "full"
     assert (
@@ -745,11 +747,6 @@ def test_brownout_mode_rungs():
         == "minimal"
     )
     assert ctrl.brownout_modes == {"full": 1, "lb_fallback": 1, "minimal": 1}
-
-
-def test_brownout_policy_validates():
-    with pytest.raises(ValueError):
-        BrownoutPolicy(lb_fallback_frac=0.9, minimal_frac=0.5)
 
 
 def test_brownout_rungs_bit_identical_in_execute_mode():
@@ -797,57 +794,61 @@ def test_degraded_plan_refined_on_full_request():
 # Circuit breaker + retry budget units
 # ---------------------------------------------------------------------------
 def test_breaker_opens_after_threshold_failures():
-    brk = CircuitBreaker(BreakerPolicy(window=8, failure_threshold=3, cooldown_s=0.1))
+    # Defaults: 4 failures in the window open it for a 0.05 s cool-down.
+    brk = CircuitBreaker()
     now = 0.0
-    for _ in range(2):
+    for _ in range(3):
         brk.record(False, now)
     assert brk.state == "closed" and brk.can_accept(now)
     brk.record(False, now)
     assert brk.state == "open"
-    assert not brk.can_accept(now + 0.05)
-    assert brk.can_accept(now + 0.1)
+    assert not brk.can_accept(now + 0.025)
+    assert brk.can_accept(now + 0.05)
 
 
 def test_breaker_half_open_probe_closes_or_reopens():
-    pol = BreakerPolicy(window=4, failure_threshold=2, cooldown_s=0.1)
-    brk = CircuitBreaker(pol)
-    brk.record(False, 0.0)
-    brk.record(False, 0.0)
+    brk = CircuitBreaker()
+    for _ in range(4):
+        brk.record(False, 0.0)
     assert brk.state == "open"
-    brk.on_dispatch(0.15)
+    brk.on_dispatch(0.075)
     assert brk.state == "half_open" and brk.probe_inflight
-    assert not brk.can_accept(0.15)  # one probe at a time
-    brk.record(True, 0.16)
+    assert not brk.can_accept(0.075)  # one probe at a time
+    brk.record(True, 0.08)
     assert brk.state == "closed"
     assert brk.transitions == {"open": 1, "half_open": 1, "closed": 1}
 
-    brk.record(False, 0.2)
-    brk.record(False, 0.2)
-    brk.on_dispatch(0.35)
-    brk.record(False, 0.36)  # failed probe re-opens for another cooldown
-    assert brk.state == "open" and not brk.can_accept(0.4)
+    for _ in range(4):
+        brk.record(False, 0.1)
+    brk.on_dispatch(0.175)
+    brk.record(False, 0.18)  # failed probe re-opens for another cooldown
+    assert brk.state == "open" and not brk.can_accept(0.2)
 
 
-def test_breaker_window_is_rolling():
-    brk = CircuitBreaker(BreakerPolicy(window=4, failure_threshold=3))
-    outcomes = [False, False, True, True, True, False, False]
+def test_breaker_window_is_rolling(monkeypatch):
+    monkeypatch.setattr(cluster_router, "BREAKER_WINDOW", 4)
+    brk = CircuitBreaker()
+    outcomes = [False, False, False, True, False, False, False]
     for ok in outcomes:
         brk.record(ok, 0.0)
-    # Only 2 failures inside the last 4 outcomes: still closed.
+    # Six failures, but never the threshold's 4 inside the last 4
+    # outcomes: still closed.
     assert brk.state == "closed"
 
 
 def test_retry_budget_caps_and_grows_with_traffic():
-    budget = RetryBudget(min_tokens=2, ratio=0.5)
-    assert budget.try_spend() and budget.try_spend()
+    # Defaults: 10 tokens plus 0.2 per request seen.
+    budget = RetryBudget()
+    for _ in range(10):
+        assert budget.try_spend()
     assert not budget.try_spend()
     assert budget.denied == 1
-    for _ in range(4):
+    for _ in range(10):
         budget.note_request()
-    assert budget.allowance == 4
+    assert budget.allowance == 12
     assert budget.try_spend() and budget.try_spend()
     assert not budget.try_spend()
-    assert budget.snapshot() == {"allowance": 4, "spent": 4, "denied": 2}
+    assert budget.snapshot() == {"allowance": 12, "spent": 12, "denied": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -1011,12 +1012,11 @@ def test_cluster_warm_restart_and_quarantine(tmp_path):
     assert second.wrong_results == 0 and second.conservation_ok
 
 
-def test_cluster_brownout_fires_under_pressure():
+def test_cluster_brownout_fires_under_pressure(monkeypatch):
     # Narrow queues + a slow single node: queue_frac crosses the ladder.
+    monkeypatch.setattr(cluster_bench, "MAX_RETRIES", 2)
     spec = WorkloadSpec(rate=30_000.0, duration_s=0.05, timeout_s=0.25, seed=5)
-    cluster = ClusterSpec(
-        n_nodes=2, queue_depth=10, spill_queue_depth=12, max_retries=2
-    )
+    cluster = ClusterSpec(n_nodes=2, queue_depth=10, spill_queue_depth=12)
     report = run_cluster_bench(
         spec=spec, cluster=cluster, compare_single=False
     )
