@@ -17,18 +17,13 @@ verify.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from ..serve.service import SpGEMMService
-
-from ..core.context import MultiplyContext
-from ..core.params import DEFAULT_PARAMS, SpeckParams
 from ..core.speck import SpeckEngine
-from ..gpu import DeviceSpec, TITAN_V
 from ..matrices.csr import CSR, INDEX_DTYPE, VALUE_DTYPE
+from ..serve.service import SpGEMMService, multiply_via
 
 __all__ = ["AmgLevel", "AmgHierarchy", "build_hierarchy", "greedy_aggregate"]
 
@@ -108,21 +103,13 @@ class AmgHierarchy:
         base = max(1, self.levels[0].a.nnz)
         return sum(l.a.nnz for l in self.levels) / base
 
-    def coarsening_factors(self) -> List[float]:
-        return [
-            self.levels[i].a.rows / max(1, self.levels[i + 1].a.rows)
-            for i in range(self.n_levels - 1)
-        ]
-
 
 def build_hierarchy(
     a: CSR,
     *,
     max_levels: int = 10,
     min_coarse: int = 16,
-    device: DeviceSpec = TITAN_V,
-    params: SpeckParams = DEFAULT_PARAMS,
-    service: Optional["SpGEMMService"] = None,
+    service: Optional[SpGEMMService] = None,
 ) -> AmgHierarchy:
     """Build an aggregation AMG hierarchy; all products via spECK.
 
@@ -130,18 +117,12 @@ def build_hierarchy(
     Galerkin products through the serving layer: re-running setup on an
     operator with updated coefficients but unchanged structure (the
     time-stepping pattern that motivates plan caching) then reuses every
-    level's analysis/binning plans, and ``device``/``params`` are taken
-    from the service.
+    level's analysis/binning plans.  Without a service the products run
+    uncached on a default :class:`~repro.core.speck.SpeckEngine`.
     """
     if a.rows != a.cols:
         raise ValueError("AMG needs a square operator")
-    engine = SpeckEngine(device, params) if service is None else None
-
-    def multiply(x: CSR, y: CSR):
-        if service is not None:
-            # The service owns plan + context caches and keys them itself.
-            return service.multiply(x, y)
-        return engine.multiply(x, y, ctx=MultiplyContext(x, y))
+    engine = SpeckEngine() if service is None else None
 
     levels = [AmgLevel(a=a)]
     current = a
@@ -151,9 +132,9 @@ def build_hierarchy(
         if p.cols >= current.rows:  # coarsening stalled
             break
         r = p.transpose()
-        res_ap = multiply(current, p)
+        res_ap = multiply_via(service, engine, current, p)
         ap = res_ap.c
-        res_rap = multiply(r, ap)
+        res_rap = multiply_via(service, engine, r, ap)
         coarse = res_rap.c
         levels.append(
             AmgLevel(

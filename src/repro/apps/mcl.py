@@ -21,18 +21,14 @@ within a single run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - annotation only
-    from ..serve.service import SpGEMMService
-
-from ..core.params import DEFAULT_PARAMS, SpeckParams
-from ..gpu import DeviceSpec, TITAN_V
 from ..graph.chain import ChainRunner
 from ..matrices.csr import CSR, INDEX_DTYPE, VALUE_DTYPE
 from ..matrices.ops import prune
+from ..serve.service import SpGEMMService
 
 __all__ = ["MclResult", "markov_clustering", "column_normalize", "add_self_loops"]
 
@@ -99,11 +95,6 @@ class MclResult:
     def total_expansion_s(self) -> float:
         return float(sum(self.expansion_times))
 
-    @property
-    def plan_hit_rate(self) -> float:
-        total = self.plan_hits + self.plan_misses
-        return self.plan_hits / total if total else 0.0
-
 
 def markov_clustering(
     adj: CSR,
@@ -112,9 +103,7 @@ def markov_clustering(
     max_iterations: int = 30,
     prune_threshold: float = 1e-4,
     tol: float = 1e-6,
-    device: DeviceSpec = TITAN_V,
-    params: SpeckParams = DEFAULT_PARAMS,
-    service: Optional["SpGEMMService"] = None,
+    service: Optional[SpGEMMService] = None,
 ) -> MclResult:
     """Cluster an (undirected) graph with MCL, expansions via spECK.
 
@@ -125,16 +114,15 @@ def markov_clustering(
     expansions through the serving layer.  Once the flow matrix's sparsity
     pattern stabilises (late iterations; or re-clustering an updated graph
     with unchanged topology), each squaring reuses the cached analysis and
-    binning plans; ``device``/``params`` then come from the service.
+    binning plans.  Without a service the expansions run uncached on a
+    default :class:`~repro.core.speck.SpeckEngine`.
     """
     if adj.rows != adj.cols:
         raise ValueError("MCL needs a square adjacency matrix")
     # One chain runner drives every expansion: each squaring is a step of
     # one long chained product, so plan reuse and estimate seeding carry
     # across iterations and the run reports chain-level counters.
-    runner = ChainRunner(
-        service=service, device=device, params=params,
-    )
+    runner = ChainRunner(service=service)
     flow = column_normalize(add_self_loops(adj))
     times: List[float] = []
     nnzs: List[int] = []

@@ -111,6 +111,7 @@ def run_graph_checks(
         invert_delta,
     )
     from ..graph.masked import MaskedContext, _drop_entries, multiply_masked
+    from ..serve.service import multiply_via
 
     a, b = case.a, case.b
     engine = SpeckEngine(device, DEFAULT_PARAMS)
@@ -132,10 +133,10 @@ def run_graph_checks(
         # Planted bug: the pruned-column set loses entries it must keep
         # (the same corruption the ``mask_drop`` fault site injects).
         allowed = _drop_entries(ops.pattern(m), 0.5)
-        mctx = MaskedContext(a, b, m, allowed=allowed)
-        mctx.faults = faults
-        mctx.case_name = case.name
-        res = engine.multiply(a, b, ctx=mctx, mode="execute")
+        res = multiply_via(
+            None, engine, a, b, ctx=MaskedContext(a, b, m, allowed=allowed),
+            mode="execute", faults=faults, case_name=case.name,
+        )
     else:
         res = multiply_masked(
             a, b, m, mode="execute", engine=engine,

@@ -26,9 +26,8 @@ recomputation, bit-identical) and exercised by ``serve-bench
 and oracle laws are documented in ``docs/WORKLOADS.md``.
 """
 
-from .chain import ChainResult, chain, chain_apply
+from .chain import chain, chain_apply
 from .delta import (
-    IncrementalResult,
     RowDelta,
     apply_delta,
     blast_radius,
@@ -39,8 +38,6 @@ from .delta import (
 from .masked import MaskedContext, mask_plan_tag, multiply_masked, triangle_count
 
 __all__ = [
-    "ChainResult",
-    "IncrementalResult",
     "MaskedContext",
     "RowDelta",
     "apply_delta",

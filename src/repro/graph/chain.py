@@ -26,19 +26,16 @@ pins ``chain(A, k)`` to k sequential full multiplies, bit-identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from ..core.context import MultiplyContext
-from ..core.params import DEFAULT_PARAMS, SpeckParams
 from ..core.speck import SpeckEngine
 from ..estimate import seeded_estimate
-from ..faults import FailureInfo, FaultPlan
-from ..gpu import DeviceSpec, TITAN_V
+from ..faults import FaultPlan
 from ..matrices.csr import CSR
 from ..result import SpGEMMResult
+from ..serve.service import multiply_via
 
-__all__ = ["ChainResult", "ChainRunner", "chain", "chain_apply"]
+__all__ = ["ChainRunner", "chain", "chain_apply"]
 
 
 class ChainRunner:
@@ -49,7 +46,7 @@ class ChainRunner:
     counters — plan-cache hits/misses and how many cold steps were
     planned from seeded estimates.  The first step always plans exactly
     (there is no previous iteration to seed from); later cold steps are
-    seeded when ``seed_estimates`` is set.
+    seeded from the previous step's output.
     """
 
     def __init__(
@@ -57,20 +54,16 @@ class ChainRunner:
         *,
         service=None,
         engine: Optional[SpeckEngine] = None,
-        device: DeviceSpec = TITAN_V,
-        params: SpeckParams = DEFAULT_PARAMS,
         mode: str = "model",
-        seed_estimates: bool = True,
         faults: Optional[FaultPlan] = None,
         case_name: str = "",
     ) -> None:
         if service is None and engine is None:
-            engine = SpeckEngine(device, params)
+            engine = SpeckEngine()
         self.service = service
         self.engine = engine
         self.device = service.device if service is not None else engine.device
         self.mode = mode
-        self.seed_estimates = bool(seed_estimates)
         self.faults = faults
         self.case_name = case_name
         self.plan_hits = 0
@@ -82,22 +75,13 @@ class ChainRunner:
     def step(self, a: CSR, b: CSR, *, brownout=None) -> SpGEMMResult:
         """Run one ``C = A · B`` of the chain and accumulate counters."""
         estimate = None
-        if self.seed_estimates and self._primed and not self._plan_ready(a, b):
+        if self._primed and not self._plan_ready(a, b):
             estimate = seeded_estimate(a, b, device=self.device)
-        if self.service is not None:
-            res = self.service.multiply(
-                a, b, mode=self.mode, faults=self.faults,
-                case_name=self.case_name, brownout=brownout,
-                estimate=estimate,
-            )
-        else:
-            ctx = MultiplyContext(a, b)
-            ctx.faults = self.faults
-            if self.case_name:
-                ctx.case_name = self.case_name
-            res = self.engine.multiply(
-                a, b, ctx=ctx, mode=self.mode, estimate=estimate
-            )
+        res = multiply_via(
+            self.service, self.engine, a, b, mode=self.mode,
+            faults=self.faults, case_name=self.case_name, brownout=brownout,
+            estimate=estimate,
+        )
         self.steps += 1
         if res.valid:
             self._primed = True
@@ -130,126 +114,59 @@ class ChainRunner:
         }
 
 
-@dataclass
-class ChainResult:
-    """Outcome of one chained-product run."""
-
-    #: The final product matrix (``None`` when a step failed).
-    c: Optional[CSR]
-    #: Chain length as requested (``k`` for ``A^k``; len(bs) + 1 operands).
-    k: int
-    #: Multiplies actually executed.
-    multiplies: int
-    #: Summed modelled seconds across every executed multiply.
-    time_s: float
-    #: Maximum per-step peak device memory.
-    peak_mem_bytes: int
-    #: Plan-cache hits across the chain's multiplies.
-    plan_hits: int = 0
-    #: Plan-cache misses across the chain's multiplies.
-    plan_misses: int = 0
-    #: Cold steps planned from a seeded (previous-iteration) estimate.
-    seeded: int = 0
-    valid: bool = True
-    failure: str = ""
-    failure_info: Optional[FailureInfo] = None
-    #: Per-step engine results, in execution order.
-    results: List[SpGEMMResult] = field(default_factory=list)
-    decisions: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def plan_hit_rate(self) -> float:
-        total = self.plan_hits + self.plan_misses
-        return self.plan_hits / total if total else 0.0
-
-    def as_result(self, method: str = "chain") -> SpGEMMResult:
-        """Flatten into one :class:`~repro.result.SpGEMMResult` so a chain
-        request rides the scheduler/bench plumbing like a plain multiply
-        (summed time, merged stage times, chain counters in decisions)."""
-        if not self.valid:
-            info = self.failure_info or FailureInfo(
-                kind="crash", message=self.failure
-            )
-            res = SpGEMMResult.failed(method, info)
-            res.decisions.update(self.decisions)
-            return res
-        stage_times: Dict[str, float] = {}
-        retries = 0
-        for r in self.results:
-            retries += r.retries
-            for name, t in r.stage_times.items():
-                stage_times[name] = stage_times.get(name, 0.0) + float(t)
-        return SpGEMMResult(
-            method=method,
-            c=self.c,
-            time_s=self.time_s,
-            peak_mem_bytes=self.peak_mem_bytes,
-            stage_times=stage_times,
-            retries=retries,
-            decisions=dict(self.decisions),
-        )
-
-
 def chain_apply(
     a: CSR,
     bs: Sequence[CSR],
     *,
     service=None,
     engine: Optional[SpeckEngine] = None,
-    device: DeviceSpec = TITAN_V,
-    params: SpeckParams = DEFAULT_PARAMS,
     mode: str = "model",
-    seed_estimates: bool = True,
     faults: Optional[FaultPlan] = None,
     case_name: str = "",
     brownout=None,
-) -> ChainResult:
+) -> SpGEMMResult:
     """Left-fold multiply: ``C = (((A · B₁) · B₂) ⋯ ) · Bₖ``.
 
-    Every step runs through one :class:`ChainRunner`; a failed step stops
-    the chain and surfaces its structured failure on the result.
+    Every step runs through one :class:`ChainRunner`.  The result is one
+    ``"chain"`` :class:`~repro.result.SpGEMMResult`: summed time, stage
+    times and retries, the largest step's peak memory, and the runner's
+    counters (``chain_steps``, ``chain_plan_hits``, ``chain_plan_misses``,
+    ``chain_seeded``) in ``decisions``.  A failed step stops the chain and
+    its structured failure comes back as a failed result.
     """
     runner = ChainRunner(
-        service=service, engine=engine, device=device, params=params,
-        mode=mode, seed_estimates=seed_estimates, faults=faults,
+        service=service, engine=engine, mode=mode, faults=faults,
         case_name=case_name,
     )
     c = a
-    results: List[SpGEMMResult] = []
     time_s = 0.0
     peak = 0
+    retries = 0
+    stage_times: Dict[str, float] = {}
     for b in bs:
         res = runner.step(c, b, brownout=brownout)
-        results.append(res)
         if not res.valid:
-            out = ChainResult(
-                c=None, k=len(bs) + 1, multiplies=runner.steps,
-                time_s=time_s, peak_mem_bytes=peak,
-                plan_hits=runner.plan_hits, plan_misses=runner.plan_misses,
-                seeded=runner.seeded, valid=False,
-                failure=res.failure, failure_info=res.failure_info,
-                results=results,
-            )
+            out = SpGEMMResult.failed("chain", res.failure_info)
             out.decisions.update(runner.counters())
             return out
         time_s += res.time_s
         peak = max(peak, res.peak_mem_bytes)
+        retries += res.retries
+        for name, t in res.stage_times.items():
+            stage_times[name] = stage_times.get(name, 0.0) + float(t)
         c = res.c
-    out = ChainResult(
-        c=c, k=len(bs) + 1, multiplies=runner.steps, time_s=time_s,
-        peak_mem_bytes=peak, plan_hits=runner.plan_hits,
-        plan_misses=runner.plan_misses, seeded=runner.seeded,
-        results=results,
+    return SpGEMMResult(
+        method="chain", c=c, time_s=time_s, peak_mem_bytes=peak,
+        stage_times=stage_times, retries=retries,
+        decisions=runner.counters(),
     )
-    out.decisions.update(runner.counters())
-    return out
 
 
 def chain(
     a: CSR,
     k: int,
     **kwargs,
-) -> ChainResult:
+) -> SpGEMMResult:
     """Compute ``A^k`` (``k >= 1``) as a chained product.
 
     ``chain(A, 1)`` is ``A`` itself with zero multiplies; higher powers

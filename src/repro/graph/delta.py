@@ -20,29 +20,27 @@ bit-identical to multiplying from scratch (the differential oracle in
 
 Deltas are invertible (:func:`invert_delta` captures the replaced rows),
 and ``apply ∘ apply⁻¹`` restores A bit-exactly — the hypothesis property
-the fuzz suite leans on.  Past a recompute-ratio threshold the engine
+the fuzz suite leans on.  Past :data:`RECOMPUTE_THRESHOLD` the engine
 falls back to a plain full multiply: once most rows are dirty, splicing
 costs more than it saves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
 import numpy as np
 
 from ..core.analysis import RowAnalysis, analyze
-from ..core.context import MultiplyContext
-from ..core.params import DEFAULT_PARAMS, SpeckParams
 from ..core.speck import SpeckEngine
-from ..faults import FailureInfo, FaultPlan
-from ..gpu import DeviceSpec, TITAN_V
+from ..faults import FaultPlan
 from ..matrices.csr import CSR, INDEX_DTYPE, VALUE_DTYPE, expand_ranges
 from ..result import SpGEMMResult
+from ..serve.service import multiply_via
 
 __all__ = [
-    "IncrementalResult",
+    "RECOMPUTE_THRESHOLD",
     "RowDelta",
     "apply_delta",
     "blast_radius",
@@ -50,6 +48,9 @@ __all__ = [
     "invert_delta",
     "random_delta",
 ]
+
+#: Share of output rows past which an update recomputes the whole product.
+RECOMPUTE_THRESHOLD = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -208,57 +209,6 @@ def blast_radius(
 # ---------------------------------------------------------------------------
 # Incremental multiply
 # ---------------------------------------------------------------------------
-@dataclass
-class IncrementalResult:
-    """Outcome of one incremental update to a cached product."""
-
-    #: The updated product (``None`` when the underlying multiply failed).
-    c: Optional[CSR]
-    #: Output rows total / actually recomputed.
-    rows_total: int
-    rows_recomputed: int
-    #: True when the blast radius crossed the threshold and the engine
-    #: fell back to a plain full multiply.
-    full_recompute: bool
-    #: True when a cached plan for the old operands was found and a
-    #: row-patched plan for the new operands was installed.
-    plan_patched: bool
-    #: Modelled seconds of the (sub- or full-) multiply that ran.
-    time_s: float
-    peak_mem_bytes: int
-    valid: bool = True
-    failure: str = ""
-    failure_info: Optional[FailureInfo] = None
-    #: The engine result of the multiply that actually ran.
-    res: Optional[SpGEMMResult] = None
-    decisions: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def recompute_ratio(self) -> float:
-        return self.rows_recomputed / self.rows_total if self.rows_total else 0.0
-
-    def as_result(self, method: str = "incremental") -> SpGEMMResult:
-        """Flatten into an :class:`~repro.result.SpGEMMResult` so an
-        incremental request rides the scheduler/bench plumbing."""
-        if not self.valid:
-            info = self.failure_info or FailureInfo(
-                kind="crash", message=self.failure
-            )
-            out = SpGEMMResult.failed(method, info)
-            out.decisions.update(self.decisions)
-            return out
-        out = SpGEMMResult(
-            method=method,
-            c=self.c,
-            time_s=self.time_s,
-            peak_mem_bytes=self.peak_mem_bytes,
-            stage_times=dict(self.res.stage_times) if self.res else {},
-            retries=self.res.retries if self.res else 0,
-            decisions=dict(self.decisions),
-        )
-        return out
-
-
 def _patched_plan(old_plan, key, sub_analysis, affected, c_row_nnz, device, params):
     """A ready plan for the *new* operands, row-patched from the old one.
 
@@ -327,14 +277,12 @@ def incremental_multiply(
     *,
     service=None,
     engine: Optional[SpeckEngine] = None,
-    device: DeviceSpec = TITAN_V,
-    params: SpeckParams = DEFAULT_PARAMS,
     mode: str = "model",
-    threshold: float = 0.5,
     blast_mode: str = "auto",
     faults: Optional[FaultPlan] = None,
     case_name: str = "",
-) -> IncrementalResult:
+    brownout=None,
+) -> SpGEMMResult:
     """Update ``C = A · B`` after a row delta to A, bit-exactly.
 
     ``c_old`` must be the engine's exact product of ``(a_old, b)``.  When
@@ -342,14 +290,22 @@ def incremental_multiply(
     B changes along with A and the blast radius widens to referencing
     rows.  Affected output rows are recomputed by multiplying the
     affected A-rows (as a sub-matrix) through the engine and spliced into
-    ``c_old``; untouched rows are copied verbatim.
+    ``c_old``; untouched rows are copied verbatim.  That row-subset
+    product always runs on the bare engine (``service.engine`` when a
+    service is given): it must never enter the plan cache or the store.
 
-    Past ``threshold`` (recomputed-rows fraction) the engine recomputes
-    everything — through the service when one is given, so the full
-    product still enjoys plan caching.  Below it, if the service holds a
-    cached plan for the *old* operands, a row-patched plan for the new
-    operands is installed (:func:`_patched_plan`), so the next request
-    for the updated structure is a plan hit without any cold analysis.
+    Past :data:`RECOMPUTE_THRESHOLD` (recomputed-rows fraction) the engine
+    recomputes everything — through the service when one is given, at
+    the dispatch's ``brownout`` rung, so the full product still enjoys
+    plan caching.  Below it, if the service holds a cached plan for the
+    *old* operands, a row-patched plan for the new operands is installed
+    (:func:`_patched_plan`), so the next request for the updated
+    structure is a plan hit without any cold analysis.
+
+    Returns one ``"incremental"`` :class:`~repro.result.SpGEMMResult`
+    whose ``decisions`` carry ``rows_total``, ``rows_recomputed``,
+    ``recompute_ratio``, ``full_recompute`` and, on the patch path,
+    ``plan_patched``.
 
     ``blast_mode`` is ``"auto"`` (conservative, correct) or ``"narrow"``
     (delta rows only, *ignoring* self-product data flow — kept as the
@@ -371,11 +327,7 @@ def incremental_multiply(
     rows_total = a_new.rows
 
     if engine is None:
-        engine = service.engine if service is not None else SpeckEngine(
-            device, params
-        )
-    device = engine.device
-    params = engine.params
+        engine = service.engine if service is not None else SpeckEngine()
 
     if blast_mode == "narrow":
         affected = delta.rows.copy()
@@ -392,49 +344,28 @@ def incremental_multiply(
         "rows_total": int(rows_total),
     }
 
-    if ratio > threshold or affected.size == 0:
+    if ratio > RECOMPUTE_THRESHOLD or affected.size == 0:
         # ---- full recompute fallback (or an empty delta: nothing to do,
         # but the product is recomputed through the normal path so the
         # caller still gets a fresh engine result).
-        if service is not None:
-            res = service.multiply(
-                a_new, b_new, mode=mode, faults=faults, case_name=case_name
-            )
-        else:
-            ctx = MultiplyContext(a_new, b_new)
-            ctx.faults = faults
-            if case_name:
-                ctx.case_name = case_name
-            res = engine.multiply(a_new, b_new, ctx=ctx, mode=mode)
+        res = multiply_via(
+            service, engine, a_new, b_new, mode=mode, faults=faults,
+            case_name=case_name, brownout=brownout,
+        )
         decisions["full_recompute"] = True
         decisions["recompute_ratio"] = 1.0
         decisions["rows_recomputed"] = int(rows_total)
-        out = IncrementalResult(
-            c=res.c, rows_total=rows_total, rows_recomputed=rows_total,
-            full_recompute=True, plan_patched=False, time_s=res.time_s,
-            peak_mem_bytes=res.peak_mem_bytes, valid=res.valid,
-            failure=res.failure, failure_info=res.failure_info, res=res,
-        )
-        out.decisions.update(decisions)
-        out.decisions.update(res.decisions)
-        return out
+        decisions.update(res.decisions)
+        return _incremental_result(res, res.c, decisions)
 
     # ---- incremental path: multiply only the affected rows ------------
     sub = a_new.select_rows(affected)
-    ctx = MultiplyContext(sub, b_new)
-    ctx.faults = faults
-    if case_name:
-        ctx.case_name = case_name
-    res = engine.multiply(sub, b_new, ctx=ctx, mode=mode)
+    res = multiply_via(
+        None, engine, sub, b_new, mode=mode, faults=faults,
+        case_name=case_name,
+    )
     if not res.valid:
-        out = IncrementalResult(
-            c=None, rows_total=rows_total, rows_recomputed=affected.size,
-            full_recompute=False, plan_patched=False, time_s=res.time_s,
-            peak_mem_bytes=res.peak_mem_bytes, valid=False,
-            failure=res.failure, failure_info=res.failure_info, res=res,
-        )
-        out.decisions.update(decisions)
-        return out
+        return _incremental_result(res, None, decisions)
     c_new = _splice_rows(c_old, affected, res.c)
 
     # ---- patch the cached plan for the new structure -------------------
@@ -449,7 +380,7 @@ def incremental_multiply(
             new_nnz[affected] = res.c.row_nnz()
             new_plan = _patched_plan(
                 old_plan, plan_key(a_new, b_new), sub_analysis, affected,
-                new_nnz, device, params,
+                new_nnz, engine.device, engine.params,
             )
             # Adopted before it is stamped, so adopt has no checksum to
             # re-verify: the stamp encodes the plan once, for the store too.
@@ -465,10 +396,22 @@ def incremental_multiply(
     decisions["recompute_ratio"] = float(ratio)
     decisions["rows_recomputed"] = int(affected.size)
     decisions["plan_patched"] = plan_patched
-    out = IncrementalResult(
-        c=c_new, rows_total=rows_total, rows_recomputed=int(affected.size),
-        full_recompute=False, plan_patched=plan_patched, time_s=res.time_s,
-        peak_mem_bytes=res.peak_mem_bytes, res=res,
+    return _incremental_result(res, c_new, decisions)
+
+
+def _incremental_result(
+    res: SpGEMMResult, c: Optional[CSR], decisions: Dict[str, object]
+) -> SpGEMMResult:
+    """The ``"incremental"`` result of the multiply ``res`` that ran:
+    its time, memory, stage times and retries with the updated ``c``, or
+    its structured failure."""
+    if not res.valid:
+        out = SpGEMMResult.failed("incremental", res.failure_info)
+        out.decisions.update(decisions)
+        return out
+    return SpGEMMResult(
+        method="incremental", c=c, time_s=res.time_s,
+        peak_mem_bytes=res.peak_mem_bytes,
+        stage_times=dict(res.stage_times), retries=res.retries,
+        decisions=decisions,
     )
-    out.decisions.update(decisions)
-    return out

@@ -39,15 +39,13 @@ import numpy as np
 
 from ..core.analysis import RowAnalysis, _segment_reduce
 from ..core.context import MultiplyContext
-from ..core.params import DEFAULT_PARAMS, SpeckParams
 from ..core.speck import SpeckEngine
 from ..faults import FaultPlan
-from ..gpu import DeviceSpec, TITAN_V
-from ..gpu.trace import Trace
 from ..kernels.reference import composite_keys, compress, expand_products, row_products
 from ..matrices.csr import CSR
 from ..matrices.ops import keep_entries, mask, pattern
 from ..result import SpGEMMResult
+from ..serve.service import multiply_via
 
 __all__ = ["MaskedContext", "mask_plan_tag", "multiply_masked", "triangle_count"]
 
@@ -206,9 +204,6 @@ def multiply_masked(
     mode: str = "model",
     service=None,
     engine: Optional[SpeckEngine] = None,
-    device: DeviceSpec = TITAN_V,
-    params: SpeckParams = DEFAULT_PARAMS,
-    trace: Optional[Trace] = None,
     faults: Optional[FaultPlan] = None,
     case_name: str = "",
     brownout=None,
@@ -219,7 +214,7 @@ def multiply_masked(
     With ``service`` the plan is cached under the mask-tagged key
     (:func:`mask_plan_tag`) so masked and unmasked plans for the same
     operand structures never collide; otherwise a one-shot ``engine``
-    (or a fresh one on ``device``/``params``) runs without caching.
+    (or a default one) runs without caching.
 
     ``ctx_cache`` is a caller-held mutable dict memoising the
     :class:`MaskedContext` across repeated identical requests (the
@@ -244,18 +239,10 @@ def multiply_masked(
         ctx = MaskedContext(a, b, m, allowed=allowed)
         if ctx_cache is not None and dropped is None:
             ctx_cache["ctx"] = ctx
-    if service is not None:
-        res = service.multiply(
-            a, b, mode=mode, ctx=ctx, trace=trace, faults=faults,
-            case_name=case_name, brownout=brownout,
-            plan_tag=mask_plan_tag(m),
-        )
-    else:
-        eng = engine if engine is not None else SpeckEngine(device, params)
-        ctx.faults = faults
-        if case_name:
-            ctx.case_name = case_name
-        res = eng.multiply(a, b, ctx=ctx, mode=mode, trace=trace)
+    res = multiply_via(
+        service, engine, a, b, ctx=ctx, mode=mode, faults=faults,
+        case_name=case_name, brownout=brownout, plan_tag=mask_plan_tag(m),
+    )
     if res.valid:
         res.decisions["masked"] = True
         res.decisions["mask_fingerprint"] = m.fingerprint()
@@ -271,8 +258,6 @@ def triangle_count(
     mode: str = "model",
     service=None,
     engine: Optional[SpeckEngine] = None,
-    device: DeviceSpec = TITAN_V,
-    params: SpeckParams = DEFAULT_PARAMS,
     faults: Optional[FaultPlan] = None,
     case_name: str = "",
 ) -> int:
@@ -288,8 +273,8 @@ def triangle_count(
         raise ValueError(f"adjacency matrix must be square, got {a.shape}")
     p = pattern(a)
     res = multiply_masked(
-        p, p, p, mode=mode, service=service, engine=engine,
-        device=device, params=params, faults=faults, case_name=case_name,
+        p, p, p, mode=mode, service=service, engine=engine, faults=faults,
+        case_name=case_name,
     )
     if not res.valid:
         raise RuntimeError(f"triangle count multiply failed: {res.failure}")

@@ -39,7 +39,7 @@ from .plan_ir import compat_key, encode_plan, frame_checksum
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .plan_store import PlanStore
 
-__all__ = ["PeerRung", "SpGEMMService"]
+__all__ = ["PeerRung", "SpGEMMService", "multiply_via"]
 
 #: The fleet's rung of the plan-source ladder: given a plan key and the
 #: request's planning mode, adopt a peer's replica that serves that mode
@@ -414,3 +414,39 @@ class SpGEMMService:
         if self.plan_store is not None:
             snap["plan_store"] = self.plan_store.stats()
         return snap
+
+
+def multiply_via(
+    service: Optional[SpGEMMService],
+    engine: Optional[SpeckEngine],
+    a: CSR,
+    b: CSR,
+    *,
+    ctx: Optional[MultiplyContext] = None,
+    mode: str = "model",
+    faults: Optional[FaultPlan] = None,
+    case_name: str = "",
+    brownout: Optional[BrownoutInfo] = None,
+    plan_tag: str = "",
+    estimate: Optional[MultiplyEstimate] = None,
+) -> SpGEMMResult:
+    """``service.multiply`` when a service is given, else one uncached
+    run on ``engine`` (a default :class:`SpeckEngine` when ``None``).
+
+    The graph workloads and applications call this once per product: the
+    serving layer runs them cached, the differential oracle runs them on
+    a bare engine.  ``brownout`` and ``plan_tag`` only steer the
+    service's plan cache, so the engine path ignores them.
+    """
+    if service is not None:
+        return service.multiply(
+            a, b, mode=mode, ctx=ctx, faults=faults, case_name=case_name,
+            brownout=brownout, plan_tag=plan_tag, estimate=estimate,
+        )
+    if ctx is None:
+        ctx = MultiplyContext(a, b)
+    ctx.faults = faults
+    if case_name:
+        ctx.case_name = case_name
+    engine = engine if engine is not None else SpeckEngine()
+    return engine.multiply(a, b, ctx=ctx, mode=mode, estimate=estimate)

@@ -165,7 +165,7 @@ def _chain_workload(steps: int):
         return chain_apply(
             a, [b] * steps, service=service, faults=faults,
             case_name=case_name, brownout=brownout,
-        ).as_result()
+        )
 
     return run
 
@@ -178,8 +178,8 @@ def _incremental_workload(c_old: CSR, delta):
 
         return incremental_multiply(
             a, b, c_old, delta, service=service, faults=faults,
-            case_name=case_name,
-        ).as_result()
+            case_name=case_name, brownout=brownout,
+        )
 
     return run
 
@@ -667,7 +667,8 @@ def run_serve_bench(
         hit_speedup=cold_mean / hit_mean if hit_mean > 0 else 0.0,
         cache=snap.get("plan_cache", {}),
         brownouts=dict(sorted(scheduler.admission.brownout_modes.items())),
-        bit_identical=verify_execute_identical(
+        bit_identical=wrong == 0
+        and verify_execute_identical(
             cases[0], device, params, speculative=speculative
         ),
         wrong_results=wrong,

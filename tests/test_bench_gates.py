@@ -335,6 +335,7 @@ def test_planted_workload_bug_is_a_wrong_result(
     assert code == 1
     assert r["completed"] > 0
     assert r["wrong_results"] == r["completed"]
+    assert r["bit_identical"] is False
     gate = (
         TestGraphWorkloadGates().test_masked_under_faults
         if name == "serve_masked"

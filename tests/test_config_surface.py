@@ -1,16 +1,25 @@
-"""The settable surface of the serving and fleet layers, pinned.
+"""The settable surface of the serving, fleet and graph layers, pinned.
 
 Each independently settable value multiplies the configurations that
 tests and benchmarks would have to cover.  A threshold no caller varies
 is a module constant (``admission.OUTPUT_FACTOR``,
-``router.BREAKER_WINDOW``, ``autoscaler.SCALE_UP_QUEUE``, ...), so adding
-a knob to one of these constructors is a deliberate edit of this file.
+``router.BREAKER_WINDOW``, ``autoscaler.SCALE_UP_QUEUE``,
+``delta.RECOMPUTE_THRESHOLD``, ...), so adding a knob to one of these
+constructors or graph entry points is a deliberate edit of this file.
 """
 
 import dataclasses
 import inspect
 
+from repro.apps import build_hierarchy, markov_clustering
 from repro.cluster import AutoscalePolicy, ClusterNode, ClusterSpec, RoutingPolicy
+from repro.graph import (
+    chain_apply,
+    incremental_multiply,
+    multiply_masked,
+    triangle_count,
+)
+from repro.graph.chain import ChainRunner
 from repro.serve import (
     AdmissionPolicy,
     ServeScheduler,
@@ -53,6 +62,29 @@ KEYWORDS = {
     ),
 }
 
+#: The keyword-only parameters of the graph workloads and the apps built
+#: on them (38 in all).  Device and parameters come from the service or
+#: engine a caller passes; without either, a default engine runs.
+GRAPH_KEYWORDS = {
+    ChainRunner.__init__: ("service", "engine", "mode", "faults", "case_name"),
+    chain_apply: (
+        "service", "engine", "mode", "faults", "case_name", "brownout",
+    ),
+    multiply_masked: (
+        "mode", "service", "engine", "faults", "case_name", "brownout",
+        "ctx_cache",
+    ),
+    triangle_count: ("mode", "service", "engine", "faults", "case_name"),
+    incremental_multiply: (
+        "service", "engine", "mode", "blast_mode", "faults", "case_name",
+        "brownout",
+    ),
+    markov_clustering: (
+        "inflation", "max_iterations", "prune_threshold", "tol", "service",
+    ),
+    build_hierarchy: ("max_levels", "min_coarse", "service"),
+}
+
 
 def test_config_surface_is_pinned():
     for cls, names in FIELDS.items():
@@ -60,3 +92,16 @@ def test_config_surface_is_pinned():
     for cls, names in KEYWORDS.items():
         params = inspect.signature(cls.__init__).parameters
         assert tuple(params)[1:] == names, cls
+
+
+def test_graph_entry_points_are_pinned():
+    total = 0
+    for fn, names in GRAPH_KEYWORDS.items():
+        kwonly = tuple(
+            name
+            for name, p in inspect.signature(fn).parameters.items()
+            if p.kind is inspect.Parameter.KEYWORD_ONLY
+        )
+        assert kwonly == names, fn
+        total += len(kwonly)
+    assert total == 38

@@ -345,7 +345,8 @@ def test_new_plans_build_the_payload_once(tmp_path, monkeypatch):
 
     calls.clear()
     delta = random_delta(a, rng=np.random.default_rng(0), frac=0.05)
-    assert incremental_multiply(a, b, c_old, delta, service=svc).plan_patched
+    res = incremental_multiply(a, b, c_old, delta, service=svc)
+    assert res.decisions["plan_patched"] is True
     assert len(calls) == 1 and svc.plan_store.appended == 2
 
 
